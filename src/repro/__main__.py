@@ -976,26 +976,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(report.describe(), file=sys.stderr)
 
     async def _serve() -> None:
-        if args.runner == "inline" and args.jobs > 0:
-            manager = JobManager(
-                store=store,
-                warehouse=warehouse,
-                executor=JobManager.inline_executor(max_workers=args.jobs),
-                lease_ttl=args.lease_ttl,
-                fleet_retries=args.fleet_retries,
-                admission=admission,
-                default_deadline=args.default_deadline,
-            )
-        else:
-            manager = JobManager(
-                store=store,
-                warehouse=warehouse,
-                max_workers=args.jobs,
-                lease_ttl=args.lease_ttl,
-                fleet_retries=args.fleet_retries,
-                admission=admission,
-                default_deadline=args.default_deadline,
-            )
+        inline = args.runner == "inline" and args.jobs > 0
+        manager = JobManager(
+            store=store,
+            warehouse=warehouse,
+            executor=JobManager.inline_executor(args.jobs) if inline else None,
+            max_workers=args.jobs,
+            lease_ttl=args.lease_ttl,
+            fleet_retries=args.fleet_retries,
+            admission=admission,
+            default_deadline=args.default_deadline,
+        )
         server = ServiceServer(manager, host=args.host, port=args.port)
         host, port = await server.start()
         pool = (

@@ -1,20 +1,16 @@
 """Parallel, cached, resumable execution of campaign jobs.
 
-The executor shards jobs across a :class:`ProcessPoolExecutor` (the
-pipeline is pure CPU-bound Python, so processes — not threads — buy real
-parallelism), consults the :class:`~repro.campaign.store.ResultStore`
-before scheduling anything, times every job, and captures failures as
-data instead of letting one bad configuration kill a whole sweep.
-
-Dispatch runs through the fleet's :class:`~repro.fleet.queue.LeaseQueue`
-— the driver leases chunks to its own pool exactly the way remote
-``repro worker`` processes lease jobs from the service — so the
-pending/leased/done bookkeeping, duplicate suppression and
-failure-capture semantics live in one place.  Here the queue runs in
-single-attempt mode: pool workers can't silently vanish without the
-future surfacing it, so a died worker's jobs complete as captured
-failures rather than retrying (retries are the *service* fleet's
-policy, where hosts genuinely disappear).
+:func:`run_campaign` consults the :class:`~repro.campaign.store.ResultStore`
+before scheduling anything, then hands the uncached jobs to an
+in-process :class:`~repro.fleet.coordinator.FleetCoordinator` and
+drains them with a :class:`~repro.fleet.coordinator.LocalWorkerPump` —
+the same driver the service runs — on one thread for a single worker,
+or on a :class:`ProcessPoolExecutor` otherwise (the pipeline is pure
+CPU-bound Python, so processes buy real parallelism).  The coordinator
+runs single-attempt: a job whose worker dies completes as a captured
+failure rather than a retry (retries are the *service* fleet's policy,
+where hosts genuinely disappear).  Every job is timed, and failures are
+captured as data instead of letting one bad configuration kill a sweep.
 
 Workers receive the job in its canonical dict form and return a
 JSON-safe payload, so exactly what crosses the process boundary is what
@@ -23,9 +19,10 @@ lands in the cache — no pickling of live pipeline objects.
 
 from __future__ import annotations
 
+import asyncio
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -200,35 +197,28 @@ def _corpus_for(benchmark: str, scale: float):
 
 
 def _worker_init(
-    stage_dir: Optional[str],
+    store_root: Optional[str],
     workload_packs: Sequence[str] = (),
     telemetry: bool = False,
-    loop_dir: Optional[str] = None,
 ) -> None:
-    """One-time setup of a pool worker.
+    """One-time setup of a worker process.
 
-    Attaches the campaign's on-disk stage cache once per process (instead
-    of per job), registers the campaign's workload packs (pack-declared
-    benchmarks must resolve in *this* process — registration does not
-    survive the spawn/forkserver boundary), mirrors the driver's tracing
-    switch (span state is process-local, so enablement must be carried
-    across the spawn boundary explicitly), and warms the heavyweight
-    imports — machine registry, workload profiles, pipeline stages — so
-    the first job of each worker doesn't pay them inside its measured
-    time.
+    Attaches the stage and loop caches to the result store at
+    ``store_root`` for the life of the process, registers the workload
+    packs (pack-declared benchmarks must resolve in *this* process —
+    registration does not survive the spawn/forkserver boundary),
+    mirrors the driver's tracing switch (span state is process-local,
+    so enablement must be carried across the spawn boundary
+    explicitly), and warms the heavyweight imports — machine registry,
+    workload profiles, pipeline stages — so the first job of each
+    worker doesn't pay them inside its measured time.
     """
     if telemetry:
         from repro.telemetry import enable_tracing
 
         enable_tracing()
-    if stage_dir is not None:
-        from repro.pipeline.cache import STAGE_CACHE
-
-        STAGE_CACHE.attach_store(stage_dir)
-    if loop_dir is not None:
-        from repro.pipeline.cache import LOOP_CACHE
-
-        LOOP_CACHE.attach_store(loop_dir)
+    if store_root is not None:
+        ResultStore(store_root).attach_caches()
     if workload_packs:
         from repro.scenarios import find_pack
 
@@ -239,49 +229,35 @@ def _worker_init(
     import repro.workloads.spec_profiles  # noqa: F401
 
 
-def _attach_for_job(cache, directory: Optional[str]):
-    """Attach ``directory`` for one job; returns the restore thunk.
+def worker_pool(
+    store: Optional[ResultStore],
+    max_workers: int,
+    workload_packs: Sequence[str] = (),
+    telemetry: bool = False,
+) -> ProcessPoolExecutor:
+    """The process pool that in-process drivers run jobs on.
 
-    The process-global caches must not keep pointing at a campaign store
-    afterwards (the directory may be temporary, and store=None runs are
-    promised to touch no disk).  No-op when the worker initializer
-    already attached this very directory.
+    Every worker runs :func:`_worker_init` once, so it reads and writes
+    ``store``'s stage and loop caches without any per-job setup.
     """
-    previous = cache.store_dir
-    attached = directory is not None and (
-        previous is None or str(previous) != str(directory)
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        initializer=_worker_init,
+        initargs=(
+            None if store is None else str(store.root),
+            tuple(workload_packs),
+            telemetry,
+        ),
     )
-    if attached:
-        cache.attach_store(directory)
-
-    def restore() -> None:
-        if not attached:
-            return
-        if previous is None:
-            cache.detach_store()
-        else:
-            cache.attach_store(previous)
-
-    return restore
 
 
-def execute_job_payload(
-    job_data: Dict[str, Any],
-    stage_dir: Optional[str] = None,
-    loop_dir: Optional[str] = None,
-) -> Dict[str, Any]:
+def execute_job_payload(job_data: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job from its dict form; never raises.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it by
-    reference; also the inline path for ``jobs=1``.
-
-    ``stage_dir`` attaches the pipeline's stage cache to an on-disk
-    directory (the result store's ``stages/`` subdir), so profiling and
-    calibration artifacts persist across jobs, workers *and* campaign
-    runs; ``loop_dir`` does the same for the per-loop cache (the
-    ``loops/`` subdir).  The payload records both caches' counter
-    deltas.  Workers initialized by :func:`_worker_init` already point
-    at the store, so the attach/restore dance only runs inline.
+    reference.  The stage and loop caches are used wherever the
+    driver attached them (see :meth:`ResultStore.attach_caches`); the
+    payload records both caches' counter deltas.
     """
     started = time.perf_counter()
     try:
@@ -289,21 +265,15 @@ def execute_job_payload(
         from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
         from repro.pipeline.experiment import evaluate_corpus
 
-        restore_stages = _attach_for_job(STAGE_CACHE, stage_dir)
-        restore_loops = _attach_for_job(LOOP_CACHE, loop_dir)
-        try:
-            stats_before = STAGE_CACHE.stats()
-            loops_before = LOOP_CACHE.stats()
-            with span(
-                "job", benchmark=job.benchmark, config=job.config_label()
-            ) as job_span:
-                corpus = _corpus_for(job.benchmark, job.scale)
-                evaluation = evaluate_corpus(corpus, job.options)
-            stats_after = STAGE_CACHE.stats()
-            loops_after = LOOP_CACHE.stats()
-        finally:
-            restore_loops()
-            restore_stages()
+        stats_before = STAGE_CACHE.stats()
+        loops_before = LOOP_CACHE.stats()
+        with span(
+            "job", benchmark=job.benchmark, config=job.config_label()
+        ) as job_span:
+            corpus = _corpus_for(job.benchmark, job.scale)
+            evaluation = evaluate_corpus(corpus, job.options)
+        stats_after = STAGE_CACHE.stats()
+        loops_after = LOOP_CACHE.stats()
         return {
             "schema": 1,
             "job": job_data,
@@ -332,18 +302,6 @@ def execute_job_payload(
             "evaluation": None,
             "error": traceback.format_exc(),
         }
-
-
-def _execute_chunk(
-    chunk: List[Dict[str, Any]],
-    stage_dir: Optional[str],
-    loop_dir: Optional[str] = None,
-) -> List[Dict[str, Any]]:
-    """Run several jobs in one worker round-trip (less IPC per job)."""
-    return [
-        execute_job_payload(job_data, stage_dir, loop_dir)
-        for job_data in chunk
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +340,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute ``jobs``, reusing cached results and sharding the rest.
 
-    ``n_jobs`` bounds worker processes (1 runs inline); ``progress`` is
-    invoked once per finished job, in completion order; ``recompute``
-    forces fresh runs even for cached keys.  ``workload_packs`` names
+    ``n_jobs`` bounds worker processes (1 runs on one thread of this
+    process); ``progress`` is invoked once per finished job, in
+    completion order, on the calling thread; ``recompute`` forces fresh
+    runs even for cached keys.  ``workload_packs`` names
     scenario packs (bundled names or paths) whose workloads every worker
     registers at startup — required when jobs reference pack-declared
     benchmarks and ``n_jobs > 1``, because registry state does not cross
@@ -405,40 +364,12 @@ def run_campaign(
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    from repro.fleet.queue import LeaseQueue, error_payload
-
-    stage_dir = None if store is None else str(store.stage_dir)
-    loop_dir = None if store is None else str(store.loop_dir)
     keyed = [(job, job.key()) for job in jobs]
     results: Dict[str, JobResult] = {}
-    by_key: Dict[str, ExperimentJob] = {}
-
-    def _finish(entry) -> None:
-        key = entry.key
-        job = by_key[key]
-        payload = entry.result_payload()
-        if store is not None and payload.get("status") == STATUS_OK:
-            store.save(key, dict(payload, key=key))
-        if sink is not None:
-            sink(key, dict(payload, key=key), False)
-        results[key] = _result_from_payload(job, key, payload, cached=False)
-        if results[key].status == STATUS_ERROR:
-            _log.warning(
-                "job failed", extra={"key": key, "benchmark": job.benchmark}
-            )
-        if progress is not None:
-            progress(results[key])
-
-    # Single-attempt queue: the pool below cannot lose a job silently
-    # (a dying worker surfaces as the chunk future's exception and the
-    # driver completes those jobs as failures), so expiry/retry stays
-    # off and the queue contributes dedup + dispatch + settlement.
-    fleet = LeaseQueue(ttl=1e9, max_attempts=1)
-    seen = set()
+    uncached: Dict[str, ExperimentJob] = {}
     for job, key in keyed:
-        if key in seen:  # duplicate job in the sequence
+        if key in results or key in uncached:  # duplicate job
             continue
-        seen.add(key)
         payload = None if (store is None or recompute) else store.get(key)
         cached_result = None
         if payload is not None and payload.get("status") == STATUS_OK:
@@ -455,75 +386,59 @@ def run_campaign(
             if progress is not None:
                 progress(cached_result)
             continue
-        by_key[key] = job
-        fleet.submit(key, job.to_dict(), on_done=_finish)
-    n_pending = len(by_key)
+        uncached[key] = job
 
-    if n_jobs == 1 or n_pending <= 1:
-        while True:
-            grants = fleet.lease("driver-inline", max_jobs=1)
-            if not grants:
-                break
-            grant = grants[0]
-            fleet.complete(
-                "driver-inline",
-                grant.token,
-                execute_job_payload(grant.job, stage_dir, loop_dir),
+    def finish(key: str, payload: Dict[str, Any]) -> None:
+        job = uncached[key]
+        if sink is not None:
+            sink(key, dict(payload, key=key), False)
+        results[key] = _result_from_payload(job, key, payload, cached=False)
+        if results[key].status == STATUS_ERROR:
+            _log.warning(
+                "job failed", extra={"key": key, "benchmark": job.benchmark}
             )
-    elif n_pending:
-        workers = min(n_jobs, n_pending)
-        # Chunked leases: several jobs per worker round-trip cuts the
-        # per-job pickle/IPC overhead while keeping enough chunks in
-        # flight (~4 per worker) for load balancing.  The cap bounds the
-        # blast radius of a dying worker (a chunk's unreturned results
-        # complete as failures); re-runs are cheap because the workers
-        # persist stage artifacts to the store's disk layer as they go,
-        # so only the final assembly of lost jobs repeats.
-        chunk_size = max(1, min(4, n_pending // (workers * 4)))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(
-                stage_dir,
-                tuple(workload_packs),
-                tracing_enabled(),
-                loop_dir,
-            ),
-        ) as pool:
-            futures = {}
-            while True:
-                grants = fleet.lease("driver-pool", max_jobs=chunk_size)
-                if not grants:
-                    break
-                future = pool.submit(
-                    _execute_chunk,
-                    [grant.job for grant in grants],
-                    stage_dir,
-                    loop_dir,
-                )
-                futures[future] = grants
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    grants = futures[future]
-                    try:
-                        payloads = future.result()
-                    except Exception as error:
-                        # The worker died without returning (OOM kill,
-                        # segfault, broken pool): complete the chunk's
-                        # jobs as failed instead of aborting the sweep.
-                        _log.error(
-                            "worker died",
-                            extra={"jobs": len(grants), "cause": repr(error)},
-                        )
-                        payloads = [
-                            error_payload(
-                                grant.job, f"worker died: {error!r}"
-                            )
-                            for grant in grants
-                        ]
-                    for grant, payload in zip(grants, payloads):
-                        fleet.complete("driver-pool", grant.token, payload)
+        if progress is not None:
+            progress(results[key])
 
+    workers = min(n_jobs, len(uncached))
+    if workers:
+        executor = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-campaign")
+            if workers == 1
+            else worker_pool(store, workers, workload_packs, tracing_enabled())
+        )
+        with executor:
+            asyncio.run(_drain(uncached, store, executor, workers, finish))
     return CampaignResult(results=[results[key] for _, key in keyed])
+
+
+async def _drain(
+    jobs: Dict[str, ExperimentJob],
+    store: Optional[ResultStore],
+    executor: Executor,
+    slots: int,
+    finish: Callable[[str, Dict[str, Any]], None],
+) -> None:
+    """Run ``jobs`` through an in-process fleet and a local pump.
+
+    Single-attempt: a job whose worker dies completes as a captured
+    failure, never a retry.  ``finish`` sees every payload once, in
+    completion order, on the calling thread.
+    """
+    from repro.fleet.coordinator import FleetCoordinator, LocalWorkerPump
+
+    coordinator = FleetCoordinator(store=store, max_attempts=1)
+    finished: "asyncio.Queue" = asyncio.Queue()
+    for key, job in jobs.items():
+        coordinator.submit(key, job.to_dict()).add_done_callback(
+            lambda future, key=key: finished.put_nowait((key, future.result()))
+        )
+    pump = LocalWorkerPump(
+        coordinator, lambda: executor, execute_job_payload, slots=slots
+    )
+    pump.ensure_started()
+    try:
+        for _ in jobs:
+            finish(*await finished.get())
+    finally:
+        await pump.close()

@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -79,6 +79,28 @@ class ResultStore:
         path = self._root / LOOP_SUBDIR
         path.mkdir(parents=True, exist_ok=True)
         return path
+
+    def attach_caches(self) -> Callable[[], None]:
+        """Point this process's stage and loop caches at :attr:`stage_dir`
+        and :attr:`loop_dir`; returns the thunk that restores whatever
+        they were attached to before."""
+        from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
+
+        previous = [
+            (STAGE_CACHE, STAGE_CACHE.store_dir),
+            (LOOP_CACHE, LOOP_CACHE.store_dir),
+        ]
+        STAGE_CACHE.attach_store(self.stage_dir)
+        LOOP_CACHE.attach_store(self.loop_dir)
+
+        def restore() -> None:
+            for cache, directory in previous:
+                if directory is None:
+                    cache.detach_store()
+                else:
+                    cache.attach_store(directory)
+
+        return restore
 
     def loop_keys(self) -> Iterator[str]:
         """All persisted per-loop artifact keys, sorted."""

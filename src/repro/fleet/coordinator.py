@@ -1,4 +1,4 @@
-"""The service-side fleet brain: queue + workers + metrics + local pump.
+"""The fleet brain: queue + workers + metrics + local pump.
 
 A :class:`FleetCoordinator` wraps one :class:`~repro.fleet.queue.LeaseQueue`
 with everything the HTTP service needs around it: an asyncio-friendly
@@ -8,10 +8,11 @@ what, when last seen) surfaced in ``/stats``, fleet metrics surfaced at
 ``/metrics``, and a background sweeper task that expires dead leases so
 work gets stolen even while no worker is polling.
 
-:class:`LocalWorkerPump` is the migration bridge: it makes the server's
-own executor behave as just another fleet worker (id ``local``), leasing
-from the same queue remote ``python -m repro worker`` processes pull
-from.  One dispatch path, N transports.
+:class:`LocalWorkerPump` is the one in-process driver: it runs leased
+jobs on an executor in this process as fleet worker ``local``, for the
+service (beside any remote ``python -m repro worker`` processes pulling
+from the same queue) and for campaigns (alone, on a single-attempt
+coordinator).  Remote hosts run :class:`~repro.fleet.worker.FleetWorker`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.fleet.queue import BATCH, LeaseGrant, LeaseQueue, error_payload
+from repro.fleet.queue import (
+    BATCH,
+    LeaseGrant,
+    LeaseQueue,
+    error_payload,
+    stamp_trace,
+)
 from repro.telemetry import (
     counter,
     gauge,
@@ -159,6 +166,11 @@ class FleetCoordinator:
         #: so the map stays bounded by in-flight traced work.
         self._lease_log: Dict[str, Dict[str, Any]] = {}
         self._lease_log_lock = threading.Lock()
+
+    @property
+    def store(self):
+        """The result store completions write through to (may be None)."""
+        return self._store
 
     # ------------------------------------------------------------------
     # telemetry
@@ -411,34 +423,37 @@ class FleetCoordinator:
 
 # ----------------------------------------------------------------------
 class LocalWorkerPump:
-    """The server's own executor, dressed as a fleet worker.
+    """An executor in this process, dressed as a fleet worker.
 
     Leases up to ``slots`` jobs from the coordinator under the id
     ``local`` and runs each payload on the given executor, completing
     back through the same protocol remote workers use.  Wakes on
     submission (via a queue observer), on a slot freeing up, and on a
     one-second safety tick.
+
+    While running, the pump keeps this process's stage and loop caches
+    attached to the coordinator's store (when it has one), so jobs on
+    executor threads share one attachment; :meth:`close` restores the
+    previous one, so pumps in one process must close in reverse start
+    order.  Pool workers attach in their own initializer.
     """
 
     def __init__(
         self,
         coordinator: FleetCoordinator,
         executor_factory: Callable[[], Executor],
-        run_payload: Callable[..., Dict[str, Any]],
-        stage_dir: Optional[str],
+        run_payload: Callable[[Dict[str, Any]], Dict[str, Any]],
         slots: int,
-        loop_dir: Optional[str] = None,
     ) -> None:
         self._coordinator = coordinator
         self._executor_factory = executor_factory
         self._run_payload = run_payload
-        self._stage_dir = stage_dir
-        self._loop_dir = loop_dir
         self._slots = max(1, slots)
         self._active: Set[asyncio.Task] = set()
         self._wake: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._closing = False
+        self._restore_caches: Optional[Callable[[], None]] = None
 
     def ensure_started(self) -> None:
         """Start the pump loop (idempotent, loop side)."""
@@ -446,6 +461,9 @@ class LocalWorkerPump:
             loop = asyncio.get_running_loop()
             self._closing = False
             self._wake = asyncio.Event()
+            store = self._coordinator.store
+            if store is not None and self._restore_caches is None:
+                self._restore_caches = store.attach_caches()
             self._coordinator.queue.add_observer(self._on_queue_event(loop))
             self._task = loop.create_task(self._run())
 
@@ -488,32 +506,23 @@ class LocalWorkerPump:
     async def _execute(self, grant: LeaseGrant) -> None:
         try:
             payload = await asyncio.get_running_loop().run_in_executor(
-                self._executor_factory(),
-                self._run_payload,
-                grant.job,
-                self._stage_dir,
-                self._loop_dir,
+                self._executor_factory(), self._run_payload, grant.job
             )
         except asyncio.CancelledError:
             self._coordinator.release(LOCAL_WORKER, grant.token)
             raise
         except Exception:
             # A broken pool (worker process killed) surfaces here; turn
-            # it into a captured per-job failure like the campaign does.
+            # it into a captured per-job failure.
             payload = error_payload(
                 grant.job, f"local worker died:\n{traceback.format_exc()}"
             )
-        if grant.trace is not None and isinstance(payload, dict):
-            # Stamp traced payloads only: untraced fleet results stay
-            # byte-identical to direct execution.
-            payload = dict(payload)
-            payload["trace_id"] = grant.trace.get("trace_id")
-            payload["worker"] = LOCAL_WORKER
-            payload["attempt"] = grant.attempt
+        payload = stamp_trace(payload, grant.trace, LOCAL_WORKER, grant.attempt)
         self._coordinator.complete(LOCAL_WORKER, grant.token, payload)
 
     async def close(self) -> None:
-        """Cancel the pump loop and any in-flight local jobs."""
+        """Cancel the pump loop and any in-flight local jobs, and
+        restore the caches' previous attachment."""
         self._closing = True
         if self._wake is not None:
             self._wake.set()  # unblock _run even if its cancel is lost
@@ -525,3 +534,6 @@ class LocalWorkerPump:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._task = None
         self._active.clear()
+        if self._restore_caches is not None:
+            self._restore_caches()
+            self._restore_caches = None

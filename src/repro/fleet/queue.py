@@ -80,6 +80,27 @@ def error_payload(job_data: Dict[str, Any], error: str) -> Dict[str, Any]:
     }
 
 
+def stamp_trace(
+    payload: Dict[str, Any],
+    trace: Optional[Dict[str, Any]],
+    worker: str,
+    attempt: Optional[int],
+) -> Dict[str, Any]:
+    """``payload`` stamped with who ran which attempt of a traced job.
+
+    Only traced payloads (``trace`` given) are stamped, into a copy:
+    untraced fleet results stay byte-identical to direct execution.
+    """
+    if trace is None or not isinstance(payload, dict):
+        return payload
+    return dict(
+        payload,
+        trace_id=trace.get("trace_id"),
+        worker=worker,
+        attempt=attempt,
+    )
+
+
 @dataclass(frozen=True)
 class LeaseGrant:
     """One granted lease: the worker's license to compute one job."""

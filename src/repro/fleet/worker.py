@@ -1,12 +1,14 @@
 """The remote fleet worker: lease, execute, heartbeat, complete.
 
 One :class:`FleetWorker` is the client half of the worker-pull protocol
-— what ``python -m repro worker --connect <url>`` runs.  It polls the
-service for leases, executes each job locally through the same
-:func:`~repro.campaign.executor.execute_job_payload` path campaign pool
-workers use (with :func:`_worker_init`'s warm registries and, when a
-cache dir is given, the shared on-disk stage cache), renews the lease
-while computing, and posts the payload back.
+— what ``python -m repro worker --connect <url>`` runs on a remote
+host; in-process execution goes through
+:class:`~repro.fleet.coordinator.LocalWorkerPump` instead.  It polls the
+service for leases, executes each job locally with
+:func:`~repro.campaign.executor.execute_job_payload` (after
+:func:`_worker_init` has warmed the registries and, when a cache dir is
+given, attached the shared on-disk stage and loop caches once for the
+process), renews the lease while computing, and posts the payload back.
 
 Results are *only* written server-side: the coordinator saves accepted
 OK payloads into its result store, so workers need no shared
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.fleet.coordinator import default_worker_id
-from repro.fleet.queue import error_payload
+from repro.fleet.queue import error_payload, stamp_trace
 from repro.telemetry import enable_tracing, get_logger, record_event
 
 _log = get_logger("fleet")
@@ -109,20 +111,11 @@ class FleetWorker:
         self.exit_on_drain = exit_on_drain
         self.max_jobs = max_jobs  # None = run until drain/stop
         self.stats = WorkerStats()
-        self._stage_dir: Optional[str] = None
-        self._loop_dir: Optional[str] = None
-        if cache_dir is not None:
-            from repro.campaign.store import ResultStore
-
-            store = ResultStore(cache_dir)
-            self._stage_dir = str(store.stage_dir)
-            self._loop_dir = str(store.loop_dir)
+        self.cache_dir = cache_dir
         if execute is None:
             from repro.campaign.executor import execute_job_payload
 
-            execute = lambda job: execute_job_payload(  # noqa: E731
-                job, self._stage_dir, self._loop_dir
-            )
+            execute = execute_job_payload
         self._execute = execute
         self._crash = crash if crash is not None else self._hard_exit
         self._stop = threading.Event()
@@ -151,9 +144,7 @@ class FleetWorker:
         """Campaign-worker startup: stage + loop caches, registries, once."""
         from repro.campaign.executor import _worker_init
 
-        _worker_init(
-            self._stage_dir, self.workload_packs, loop_dir=self._loop_dir
-        )
+        _worker_init(self.cache_dir, self.workload_packs)
 
     def run(self) -> WorkerStats:
         """The worker loop; returns once stopped, drained or cut off."""
@@ -282,14 +273,12 @@ class FleetWorker:
         if lease_lost:
             self.stats.lost += 1
             return
-        payload = outcome["payload"]
-        if trace_id is not None and isinstance(payload, dict):
-            # Stamp traced payloads only: untraced fleet results stay
-            # byte-identical to direct execution.
-            payload = dict(payload)
-            payload["trace_id"] = trace_id
-            payload["worker"] = self.worker_id
-            payload["attempt"] = grant.get("attempt")
+        payload = stamp_trace(
+            outcome["payload"],
+            trace_ctx if trace_id is not None else None,
+            self.worker_id,
+            grant.get("attempt"),
+        )
         if injector is not None:
             delay = injector.completion_delay()
             if delay > 0:

@@ -502,11 +502,7 @@ def synthetic_runner(
     real scheduling would only cap the reachable request rate.
     """
 
-    def run(
-        job_data: Dict[str, Any],
-        stage_dir: Optional[str] = None,
-        loop_dir: Optional[str] = None,
-    ) -> Dict[str, Any]:
+    def run(job_data: Dict[str, Any]) -> Dict[str, Any]:
         time.sleep(compute_s)
         return {
             "schema": 1,
@@ -541,6 +537,7 @@ def self_hosted_service(
                 store=ResultStore(root),
                 executor=JobManager.inline_executor(max_workers=workers),
                 run_payload=synthetic_runner(compute_s),
+                max_workers=workers,
                 admission=AdmissionPolicy(
                     max_interactive=max_interactive, max_batch=max_batch
                 ),

@@ -55,10 +55,10 @@ def time_benchmark(
     stages (the two profile/calibrate calibration passes) accumulate into
     one bucket per stage name.
     """
-    from repro.pipeline import Experiment, clear_profile_cache
+    from repro.pipeline import Experiment, clear_stage_cache
     from repro.workloads import build_corpus, spec_profile
 
-    clear_profile_cache()
+    clear_stage_cache()
     started = time.perf_counter()
     corpus = build_corpus(spec_profile(name), scale=scale)
     corpus_s = time.perf_counter() - started

@@ -21,10 +21,8 @@ from repro.pipeline.experiment import (
     BenchmarkEvaluation,
     ExperimentOptions,
     SuiteResult,
-    clear_profile_cache,
     evaluate_corpus,
     evaluate_suite,
-    profile_cache_info,
 )
 from repro.pipeline.cache import (
     STAGE_CACHE,
@@ -64,10 +62,8 @@ __all__ = [
     "BenchmarkEvaluation",
     "ExperimentOptions",
     "SuiteResult",
-    "clear_profile_cache",
     "evaluate_corpus",
     "evaluate_suite",
-    "profile_cache_info",
     # stage cache
     "STAGE_CACHE",
     "StageCache",

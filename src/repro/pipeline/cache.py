@@ -34,8 +34,7 @@ treated as *corrupt* — evicted, counted under
 never a crash.
 
 Observability: :func:`stage_cache_info` reports entry counts and
-hit/miss/eviction counters, overall and per stage.  It supersedes the
-former ``profile_cache_info``.
+hit/miss/eviction counters, overall and per stage.
 """
 
 from __future__ import annotations
@@ -324,9 +323,7 @@ LOOP_CACHE = StageCache(capacity=LOOP_CACHE_CAPACITY)
 
 
 def stage_cache_info() -> Dict[str, Any]:
-    """Counters of the process-wide stage cache.
-
-    Successor of ``profile_cache_info``: reports entries plus
+    """Counters of the process-wide stage cache: entries plus
     hit/miss/disk-hit/eviction counters, overall and per stage.
     """
     return STAGE_CACHE.info()
@@ -337,11 +334,6 @@ def clear_stage_cache(reset_stats: bool = False) -> None:
     STAGE_CACHE.clear()
     if reset_stats:
         STAGE_CACHE.reset_stats()
-
-
-def loop_cache_info() -> Dict[str, Any]:
-    """Counters of the process-wide per-loop cache (see :data:`LOOP_CACHE`)."""
-    return LOOP_CACHE.info()
 
 
 def clear_loop_cache(reset_stats: bool = False) -> None:

@@ -183,28 +183,3 @@ def evaluate_suite(
     return SuiteResult(
         evaluations=[evaluate_corpus(corpus, options) for corpus in corpora]
     )
-
-
-# ----------------------------------------------------------------------
-# legacy cache surface (now backed by the stage cache)
-# ----------------------------------------------------------------------
-def clear_profile_cache() -> None:
-    """Drop every memoized stage artifact (tests, long-lived processes).
-
-    Alias of :func:`repro.pipeline.cache.clear_stage_cache`, kept for
-    compatibility with pre-stage-cache callers.
-    """
-    from repro.pipeline.cache import clear_stage_cache
-
-    clear_stage_cache()
-
-
-def profile_cache_info() -> Dict[str, int]:
-    """Size of the stage memo (observability hook for benches).
-
-    Superseded by :func:`repro.pipeline.cache.stage_cache_info`, which
-    also reports hit/miss/eviction counters per stage.
-    """
-    from repro.pipeline.cache import STAGE_CACHE
-
-    return {"entries": len(STAGE_CACHE)}

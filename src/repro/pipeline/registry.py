@@ -197,11 +197,6 @@ def registered_workload(name: str):
     return _WORKLOADS.get(name)
 
 
-def workload_names() -> Tuple[str, ...]:
-    """All resolvable workload names (built-in + registered), sorted."""
-    return tuple(sorted(set(SPEC2000_PROFILES) | set(_WORKLOADS)))
-
-
 # ----------------------------------------------------------------------
 # built-ins: the paper's evaluation setup
 # ----------------------------------------------------------------------

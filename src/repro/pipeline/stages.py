@@ -840,10 +840,6 @@ class Experiment:
         """Introspection rows, one per stage, in execution order."""
         return [stage.describe() for stage in self.stages]
 
-    def stage_names(self) -> Tuple[str, ...]:
-        """The stage names in execution order."""
-        return tuple(stage.name for stage in self.stages)
-
     def explain(self) -> str:
         """Human-readable stage plan (see ``--stages``/``--explain``)."""
         from repro.reporting.pipeline import stage_plan_table

@@ -337,14 +337,3 @@ class SchedulingContext:
         if self.options.sync_penalties and from_ct != to_ct:
             return Fraction(to_ct)
         return Fraction(0)
-
-    def cluster_capacity_ok(self, demand_by_fu: Mapping, cluster: int) -> bool:
-        """True when per-FU demand fits ``II_c * units`` on ``cluster``."""
-        ii = self.cluster_iis[cluster]
-        if ii < 1:
-            return not any(demand_by_fu.values())
-        config = self.machine.cluster(cluster)
-        return all(
-            needed <= ii * config.fu_count(fu)
-            for fu, needed in demand_by_fu.items()
-        )

@@ -81,10 +81,6 @@ class KernelScheduler:
             raise SchedulingError(f"cluster {cluster} is gated at this IT")
         return ct
 
-    def _issue_time(self, op: Operation) -> Fraction:
-        placed = self._placements[op]
-        return placed.cycle * self._cluster_ct(placed.cluster)
-
     def _needs_copy(self, dep: Dependence) -> bool:
         if not dep.carries_value:
             return False

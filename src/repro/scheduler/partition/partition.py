@@ -137,10 +137,6 @@ class Partition:
             None if self._demand is None else [list(r) for r in self._demand],
         )
 
-    def as_dict(self) -> Dict[Operation, int]:
-        """The underlying mapping (copied)."""
-        return dict(self._assignment)
-
     # ------------------------------------------------------------------
     def demand_matrix(self) -> List[List[int]]:
         """Per-cluster op counts by dense FU code (shared — read-only)."""

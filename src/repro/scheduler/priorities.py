@@ -12,7 +12,7 @@ loop rather than once per IT candidate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.ir.operation import Operation
 from repro.scheduler.context import SchedulingContext
@@ -24,9 +24,3 @@ def priority_key(ctx: SchedulingContext) -> Dict[Operation, Tuple]:
     Returns the loop analysis's shared key dict — treat it as read-only.
     """
     return ctx.analysis.priority_keys
-
-
-def scheduling_order(ctx: SchedulingContext) -> List[Operation]:
-    """All operations, most critical first."""
-    keys = priority_key(ctx)
-    return sorted(ctx.ddg.operations, key=lambda op: keys[op])

@@ -26,7 +26,6 @@ from repro.ir.analysis import edge_delay
 from repro.ir.ddg import DDG
 from repro.ir.dependence import Dependence
 from repro.ir.operation import Operation
-from repro.ir.opcodes import OpClass
 from repro.machine.clocking import ICN_DOMAIN, cluster_domain
 from repro.machine.fu import FUType, fu_for
 from repro.machine.machine import MachineDescription
@@ -249,16 +248,6 @@ class Schedule:
     def mem_accesses_per_iteration(self) -> int:
         """Cache accesses per iteration."""
         return sum(1 for op in self.ddg.operations if op.opclass.is_memory)
-
-    def cluster_class_counts(self) -> List[Dict[OpClass, int]]:
-        """Per-cluster instruction counts by class (one iteration)."""
-        counts: List[Dict[OpClass, int]] = [
-            {} for _ in range(self.machine.n_clusters)
-        ]
-        for op, placed in self.placements.items():
-            bucket = counts[placed.cluster]
-            bucket[op.opclass] = bucket.get(op.opclass, 0) + 1
-        return counts
 
     def cluster_energy_units(self) -> Tuple[float, ...]:
         """Per-cluster Table 1 energy units executed per iteration."""

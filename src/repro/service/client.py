@@ -385,10 +385,6 @@ class ServiceClient:
         """``GET /v1/query/pareto``."""
         return self._ok("GET", "/v1/query/pareto", query=query)["pareto"]
 
-    def query_diff(self, a: str, b: str, **query: Any) -> Dict[str, Any]:
-        """``GET /v1/query/diff``."""
-        return self._ok("GET", "/v1/query/diff", query={"a": a, "b": b, **query})
-
     def query_campaigns(self) -> Any:
         """``GET /v1/query/campaigns``."""
         return self._ok("GET", "/v1/query/campaigns")["campaigns"]

@@ -19,13 +19,15 @@ at two levels, both content-addressed:
 Heavy work never runs on the loop: every experiment is submitted to the
 manager's :class:`~repro.fleet.coordinator.FleetCoordinator`, whose
 lease queue is drained by whichever workers exist — the in-process
-:class:`~repro.fleet.coordinator.LocalWorkerPump` (the server's own
-executor, by default the same ``ProcessPoolExecutor`` +
-``execute_job_payload`` machinery campaigns use) and/or remote
-``python -m repro worker`` processes pulling over HTTP.  With
-``max_workers=0`` the pump is disabled and the service relies entirely
-on remote workers.  Tests and benches inject a counting/inline runner
-instead.
+:class:`~repro.fleet.coordinator.LocalWorkerPump` (the same driver
+campaigns use; by default on a process pool built by
+:func:`~repro.campaign.executor.worker_pool`) and/or remote
+``python -m repro worker`` processes pulling over HTTP.  The pump keeps
+this process's stage and loop caches attached to the store while it
+runs, so payloads on an inline thread executor share one attachment.
+With ``max_workers=0`` the pump is disabled and the service relies
+entirely on remote workers.  Tests and benches inject a counting/inline
+runner instead.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import asyncio
 import time
 import traceback
 import uuid
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -379,11 +381,13 @@ class JobManager:
     """Owns the service's jobs, dedup tables and executor bridge.
 
     ``executor``/``run_payload`` define how experiment payloads execute:
-    the defaults build a lazily started :class:`ProcessPoolExecutor`
-    (``max_workers`` processes, campaign worker initialization) running
+    the defaults build a lazily started
+    :func:`~repro.campaign.executor.worker_pool` of ``max_workers``
+    processes running
     :func:`~repro.campaign.executor.execute_job_payload`.  Pass a
     :class:`ThreadPoolExecutor` (``inline_executor``) and/or a counting
-    stub to embed the manager in tests.
+    stub to embed the manager in tests.  Either way the local pump runs
+    ``max_workers`` jobs at a time (0 disables it).
 
     All public methods must be called from the manager's event loop.
     """
@@ -393,7 +397,7 @@ class JobManager:
         store: Optional[ResultStore] = None,
         warehouse: Optional[Warehouse] = None,
         executor: Optional[Executor] = None,
-        run_payload: Callable[..., Dict[str, Any]] = execute_job_payload,
+        run_payload: Callable[[Dict[str, Any]], Dict[str, Any]] = execute_job_payload,
         max_workers: int = 2,
         lease_ttl: float = 60.0,
         fleet_retries: int = 3,
@@ -458,46 +462,26 @@ class JobManager:
 
     def _ensure_executor(self) -> Executor:
         if self._executor is None:
-            from repro.campaign.executor import _worker_init
+            from repro.campaign.executor import worker_pool
 
-            stage_dir = (
-                None if self._store is None else str(self._store.stage_dir)
-            )
-            loop_dir = (
-                None if self._store is None else str(self._store.loop_dir)
-            )
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_worker_init,
-                initargs=(stage_dir, (), False, loop_dir),
-            )
+            self._executor = worker_pool(self._store, self._max_workers)
         return self._executor
 
     def _ensure_pump(self) -> None:
         """Start the in-process fleet worker (loop side, idempotent).
 
-        Slots mirror the executor's parallelism so the pump keeps it as
-        busy as direct submission used to.  With ``max_workers=0`` the
-        service runs pump-less: only remote workers drain the queue.
+        The pump runs ``max_workers`` jobs at a time.  With
+        ``max_workers=0`` the service runs pump-less: only remote
+        workers drain the queue.
         """
         if self._max_workers <= 0:
             return
         if self._pump is None:
-            executor = self._executor
-            slots = getattr(executor, "_max_workers", None) or self._max_workers
-            stage_dir = (
-                None if self._store is None else str(self._store.stage_dir)
-            )
-            loop_dir = (
-                None if self._store is None else str(self._store.loop_dir)
-            )
             self._pump = LocalWorkerPump(
                 self.fleet,
                 self._ensure_executor,
                 self._run_payload,
-                stage_dir,
-                slots=slots,
-                loop_dir=loop_dir,
+                slots=self._max_workers,
             )
         self._pump.ensure_started()
 

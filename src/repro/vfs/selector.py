@@ -71,11 +71,6 @@ class SelectionResult:
     fast_factor: Fraction
     slow_ratio: Fraction
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """True when fast and slow clusters actually differ in speed."""
-        return self.slow_ratio != 1
-
 
 class ConfigurationSelector:
     """Implements the section 3.3 selection heuristics.

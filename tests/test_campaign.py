@@ -242,7 +242,7 @@ class TestRunCampaign:
         calls = []
         real = executor.execute_job_payload
 
-        def counting(job_data, stage_dir=None, loop_dir=None):
+        def counting(job_data):
             calls.append(job_data["benchmark"])
             return real(job_data)
 
@@ -266,7 +266,7 @@ class TestRunCampaign:
         assert outcome.results[0].ok
 
 
-def _exit_worker(job_data, stage_dir=None, loop_dir=None):
+def _exit_worker(job_data):
     """Simulates a worker killed by the OS (picklable module-level fn)."""
     import os
 
@@ -286,6 +286,46 @@ class TestWorkerDeath:
         assert len(outcome.failed) == 2
         assert all("worker died" in r.error for r in outcome.failed)
         assert len(store) == 0
+
+
+class TestCacheAttachment:
+    @pytest.fixture
+    def attached_elsewhere(self, tmp_path):
+        """Caches attached to an unrelated directory for the test."""
+        from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
+
+        restore = ResultStore(tmp_path / "elsewhere").attach_caches()
+        try:
+            yield (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir)
+        finally:
+            restore()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_campaign_restores_the_previous_attachment(
+        self, tmp_path, attached_elsewhere, n_jobs
+    ):
+        from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
+
+        jobs = [_job(), _job(benchmark="172.mgrid")]
+        outcome = run_campaign(
+            jobs, store=ResultStore(tmp_path / "cache"), n_jobs=n_jobs
+        )
+        assert not outcome.failed
+        assert (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir) == (
+            attached_elsewhere
+        )
+
+    def test_no_store_attaches_no_disk_layer(self, monkeypatch):
+        from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE, StageCache
+
+        def refuse(cache, directory):
+            raise AssertionError(f"attached {directory}")
+
+        monkeypatch.setattr(StageCache, "attach_store", refuse)
+        before = (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir)
+        outcome = run_campaign([_job()], store=None, recompute=True)
+        assert outcome.results[0].ok
+        assert (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir) == before
 
 
 class TestProfileMemoIsolation:

@@ -32,7 +32,7 @@ class CountingRunner:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def __call__(self, job_data, stage_dir=None, loop_dir=None):
+    def __call__(self, job_data):
         with self._lock:
             self.calls += 1
         if self.delay:
@@ -61,6 +61,7 @@ def make_manager(runner, store=None, warehouse=None, threads=8):
         warehouse=warehouse,
         executor=JobManager.inline_executor(max_workers=threads),
         run_payload=runner,
+        max_workers=threads,
     )
 
 
@@ -515,6 +516,46 @@ class TestRealPipelineOverHttp:
         assert job["id"] in store
         with Warehouse(tmp_path / "cache" / "warehouse.sqlite") as warehouse:
             assert warehouse.job_count() == 1
+
+
+class TestInlineRunnerCaches:
+    def test_concurrent_real_evaluates_on_threads_share_the_store(
+        self, tmp_path
+    ):
+        # Distinct evaluates running at once on executor threads: the
+        # caches' disk attachment must hold for all of them at once and
+        # be handed back untouched when the manager closes.
+        from repro.campaign.executor import execute_job_payload
+        from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
+        from repro.workloads.spec_profiles import SPEC2000_PROFILES
+
+        attached = (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir)
+        store = ResultStore(tmp_path / "cache")
+
+        async def body():
+            manager = JobManager(
+                store=store,
+                executor=JobManager.inline_executor(4),
+                run_payload=execute_job_payload,
+                max_workers=4,
+            )
+            jobs = [
+                manager.submit_evaluate(
+                    {"benchmark": name, "scale": 0.02, "simulate": False}
+                )
+                for name in SPEC2000_PROFILES
+            ]
+            assert len({job.id for job in jobs}) == 10
+            try:
+                for job in jobs:
+                    finished = await manager.wait(job.id, timeout=120)
+                    assert finished.status == "done", finished.error
+            finally:
+                await manager.close()
+
+        run_async(body)
+        assert len(store) == 10
+        assert (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir) == attached
 
 
 class TestServeCLI:

@@ -147,14 +147,6 @@ class TestExperimentCaching:
             ("calibrate", "cached"),
         ]
 
-    def test_legacy_info_and_clear_are_aliases(self):
-        from repro.pipeline import clear_profile_cache, profile_cache_info
-
-        Experiment.paper(FAST).run(_corpus())
-        assert profile_cache_info()["entries"] == len(STAGE_CACHE) > 0
-        clear_profile_cache()
-        assert len(STAGE_CACHE) == 0
-
 
 # ----------------------------------------------------------------------
 # the on-disk layer
