@@ -40,7 +40,7 @@ import json
 import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import chaos
 from repro.fleet.queue import FleetError
@@ -204,6 +204,24 @@ def _json_error(
     return _json_response(status, {"error": error, **extra}, headers)
 
 
+def _content_length(values: Set[str]) -> int:
+    """The body length from every ``Content-Length`` value received.
+
+    RFC 9112 §6.3 / RFC 9110 §8.6: the value is ``1*DIGIT`` (ASCII
+    only — ``int()`` would also take signs, underscores, whitespace and
+    non-ASCII digits), and a message whose duplicate headers disagree
+    has invalid framing.  Identical duplicates count once.
+    """
+    if not values:
+        return 0
+    if len(values) > 1:
+        raise _HttpError(400, "conflicting Content-Length headers")
+    (value,) = values
+    if not (value.isascii() and value.isdigit()):
+        raise _HttpError(400, f"malformed Content-Length {value!r}")
+    return int(value)
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[
@@ -224,20 +242,22 @@ async def _read_request(
     except ValueError as error:
         raise _HttpError(400, "malformed request line") from error
     headers = {}
+    lengths = set()
     for line in header_lines:
         if ":" in line:
             name, value = line.split(":", 1)
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            value = value.strip(" \t")  # field OWS is SP / HTAB only
+            if name == "content-length":
+                lengths.add(value)
+            headers[name] = value
     parsed = urllib.parse.urlsplit(target)
     query = {
         name: values
         for name, values in urllib.parse.parse_qs(parsed.query).items()
     }
     body = None
-    try:
-        length = int(headers.get("content-length", 0) or 0)
-    except ValueError as error:
-        raise _HttpError(400, "malformed Content-Length") from error
+    length = _content_length(lengths)
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     if length:

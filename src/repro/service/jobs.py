@@ -33,12 +33,13 @@ runner instead.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 import traceback
 import uuid
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from repro.campaign.executor import STATUS_OK, execute_job_payload
 from repro.campaign.job import ExperimentJob
@@ -49,7 +50,15 @@ from repro.fleet.coordinator import FleetCoordinator, LocalWorkerPump
 from repro.fleet.queue import BATCH, INTERACTIVE
 from repro.pipeline.experiment import ExperimentOptions
 from repro.pipeline.serialization import content_key, evaluation_ratios
-from repro.telemetry import Span, counter, gauge, get_logger, record_event
+from repro.telemetry import (
+    Span,
+    counter,
+    gauge,
+    get_logger,
+    record_event,
+    root_span,
+    span,
+)
 from repro.warehouse.db import Warehouse
 from repro.workloads.spec_profiles import SPEC2000_PROFILES
 
@@ -123,78 +132,6 @@ def mint_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-class JobTrace:
-    """Assembles one service job's distributed trace, span by span.
-
-    The process-local span machinery in :mod:`repro.telemetry.trace`
-    keeps a per-*thread* stack — exactly wrong for a ``JobManager``,
-    where many jobs interleave on one event-loop thread.  This
-    assembler therefore builds the tree explicitly: the root span is
-    the submit, and the manager attaches lifecycle children
-    (``admission``, per-experiment spans wrapping ``queue_wait`` /
-    per-attempt ``lease`` spans / ``warehouse_record``,
-    ``deadline_cancel``) as the job progresses.  Worker-side span
-    trees re-parent under the lease attempt that completed them,
-    byte-stable (:meth:`Span.from_dict` of a :meth:`Span.to_dict`
-    round-trips exactly).
-
-    All mutation happens on the manager's loop thread; no locking.
-    """
-
-    __slots__ = ("trace_id", "root", "_t0")
-
-    def __init__(self, trace_id: str, kind: str, job_id: str) -> None:
-        self.trace_id = trace_id
-        self.root = Span(
-            "submit", {"kind": kind, "job": job_id, "trace_id": trace_id}
-        )
-        self.root.start_s = time.time()
-        self._t0 = time.perf_counter()
-
-    def begin(
-        self, name: str, parent: Optional[Span] = None, **attrs: Any
-    ) -> Tuple[Span, float]:
-        """Open a child span; returns ``(span, perf_counter_mark)``."""
-        child = Span(name, attrs)
-        child.start_s = time.time()
-        (self.root if parent is None else parent).children.append(child)
-        return child, time.perf_counter()
-
-    @staticmethod
-    def end(child: Span, started: float) -> None:
-        """Close a span opened with :meth:`begin`."""
-        child.elapsed_s = time.perf_counter() - started
-
-    def mark(
-        self, name: str, parent: Optional[Span] = None, **attrs: Any
-    ) -> Span:
-        """A zero-duration marker span (instantaneous events)."""
-        child = Span(name, attrs)
-        child.start_s = time.time()
-        (self.root if parent is None else parent).children.append(child)
-        return child
-
-    def finish(self, status: str) -> None:
-        """Seal the root span at job settle."""
-        self.root.annotate(status=status)
-        self.root.elapsed_s = time.perf_counter() - self._t0
-
-    @property
-    def finished(self) -> bool:
-        return self.root.elapsed_s > 0.0
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The tree as of now (live root patched to elapsed-so-far)."""
-        data = self.root.to_dict()
-        if not self.finished:
-            data["elapsed_s"] = time.perf_counter() - self._t0
-        return data
-
-    def context(self, parent: str) -> Dict[str, Any]:
-        """The propagation context carried inside fleet lease grants."""
-        return {"trace_id": self.trace_id, "parent": parent}
-
-
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """Bounds on concurrently admitted (queued or running) jobs.
@@ -241,9 +178,10 @@ class ServiceJob:
     deadline_at: Optional[float] = None
     #: Distributed-trace correlation: the id every lease grant, worker
     #: payload and flight-recorder event of this job carries, and the
-    #: assembler building the cross-process span tree.
+    #: job's root ``submit`` span (set once its driver starts), under
+    #: which the cross-process span tree grows.
     trace_id: Optional[str] = None
-    trace: Optional[JobTrace] = field(default=None, repr=False)
+    trace: Optional[Span] = field(default=None, repr=False)
     events: List[Dict[str, Any]] = field(default_factory=list)
     _queues: List[asyncio.Queue] = field(default_factory=list, repr=False)
     _done: Optional[asyncio.Event] = field(default=None, repr=False)
@@ -606,7 +544,6 @@ class JobManager:
                 job_class=job_class,
                 retry_after_s=self.admission.retry_after_s,
             )
-        trace = JobTrace(trace_id, kind, job_id)
         job = ServiceJob(
             id=job_id,
             kind=kind,
@@ -617,13 +554,7 @@ class JobManager:
                 None if budget is None else time.monotonic() + budget
             ),
             trace_id=trace_id,
-            trace=trace,
         )
-        admission = trace.mark(
-            "admission", job_class=job_class, outcome="admitted"
-        )
-        admission.elapsed_s = time.perf_counter() - admitted_at
-        admission.start_s -= admission.elapsed_s  # opened at _admit entry
         record_event(
             "admission.admitted",
             trace=trace_id,
@@ -641,12 +572,52 @@ class JobManager:
             extra={"job": job_id, "kind": kind, "trace": trace_id},
         )
         job.publish("submitted", kind=kind, trace=trace_id)
-        task = asyncio.get_running_loop().create_task(self._drive(job, runner))
+        task = asyncio.get_running_loop().create_task(
+            self._drive(job, runner, time.perf_counter() - admitted_at)
+        )
         self._drivers.add(task)
         task.add_done_callback(self._drivers.discard)
         return job
 
     async def _drive(
+        self,
+        job: ServiceJob,
+        runner: Callable[[ServiceJob], Awaitable[Dict[str, Any]]],
+        admission_s: float,
+    ) -> None:
+        """Run a job inside its trace's root ``submit`` span.
+
+        Every span the job opens on the loop — its experiments, their
+        warehouse writes, a deadline cancel — nests under the root
+        through this task's context.  ``admission`` is the root's first
+        child, placed at offset 0 with the duration :meth:`_admit`
+        measured.
+        """
+        try:
+            with root_span(
+                "submit", kind=job.kind, job=job.id, trace_id=job.trace_id
+            ) as root:
+                job.trace = root
+                admission = Span(
+                    "admission",
+                    {"job_class": job.job_class, "outcome": "admitted"},
+                )
+                admission.start_s = root.start_s
+                admission.elapsed_s = admission_s
+                root.children.append(admission)
+                await self._execute(job, runner)
+        finally:
+            root.annotate(status=job.status)
+            if self._warehouse is not None:
+                # Fire-and-forget: the live timeline serves from
+                # memory, the warehouse copy is for post-hoc
+                # ``repro query timeline`` — not worth blocking
+                # (or failing) the settle path on a busy SQLite.
+                asyncio.get_running_loop().run_in_executor(
+                    None, self._record_trace, job
+                )
+
+    async def _execute(
         self,
         job: ServiceJob,
         runner: Callable[[ServiceJob], Awaitable[Dict[str, Any]]],
@@ -676,29 +647,28 @@ class JobManager:
             job.publish("failed", error=job.error)
             raise
         except (asyncio.TimeoutError, TimeoutError):
-            job.status = JOB_FAILED
-            job.error = (
-                f"deadline exceeded: job still incomplete after its "
-                f"{job.deadline_s:g}s budget"
-            )
-            job.finished_at = time.time()
-            self.stats["failed"] += 1
-            self.stats["deadline_exceeded"] += 1
-            _DEADLINES.inc(kind=job.kind)
-            _log.warning(
-                "job deadline exceeded",
-                extra={"job": job.id, "kind": job.kind},
-            )
-            if job.trace is not None:
-                job.trace.mark("deadline_cancel", budget_s=job.deadline_s)
-            record_event(
-                "deadline.exceeded",
-                trace=job.trace_id,
-                job=job.id,
-                job_kind=job.kind,
-                budget_s=job.deadline_s,
-            )
-            job.publish("failed", error=job.error)
+            with span("deadline_cancel", budget_s=job.deadline_s):
+                job.status = JOB_FAILED
+                job.error = (
+                    f"deadline exceeded: job still incomplete after its "
+                    f"{job.deadline_s:g}s budget"
+                )
+                job.finished_at = time.time()
+                self.stats["failed"] += 1
+                self.stats["deadline_exceeded"] += 1
+                _DEADLINES.inc(kind=job.kind)
+                _log.warning(
+                    "job deadline exceeded",
+                    extra={"job": job.id, "kind": job.kind},
+                )
+                record_event(
+                    "deadline.exceeded",
+                    trace=job.trace_id,
+                    job=job.id,
+                    job_kind=job.kind,
+                    budget_s=job.deadline_s,
+                )
+                job.publish("failed", error=job.error)
         except Exception:
             job.status = JOB_FAILED
             job.error = traceback.format_exc()
@@ -712,16 +682,6 @@ class JobManager:
             self._active[job.job_class] -= 1
             _QUEUE_DEPTH.dec(job_class=job.job_class)
             _JOBS.inc(kind=job.kind, status=job.status)
-            if job.trace is not None:
-                job.trace.finish(job.status)
-                if self._warehouse is not None:
-                    # Fire-and-forget: the live timeline serves from
-                    # memory, the warehouse copy is for post-hoc
-                    # ``repro query timeline`` — not worth blocking
-                    # (or failing) the settle path on a busy SQLite.
-                    asyncio.get_running_loop().run_in_executor(
-                        None, self._record_trace, job
-                    )
 
     def submit_evaluate(self, request: Dict[str, Any]) -> ServiceJob:
         """Submit one experiment; job id == the experiment's cache key."""
@@ -731,9 +691,9 @@ class JobManager:
         async def run(job: ServiceJob) -> Dict[str, Any]:
             payload = await self._run_experiment(
                 experiment,
-                source_job=job,
                 job_class=INTERACTIVE,
                 deadline=job.deadline_at,
+                trace_id=job.trace_id,
             )
             if payload.get("status") != STATUS_OK:
                 raise ServiceError(
@@ -802,36 +762,30 @@ class JobManager:
     async def _run_experiment(
         self,
         experiment: ExperimentJob,
-        source_job: Optional[ServiceJob] = None,
         campaign: Optional[str] = None,
         job_class: str = BATCH,
         deadline: Optional[float] = None,
+        trace_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """One experiment payload, computed at most once per key.
 
         Resolution order: result store (completed history), in-flight
         table (running right now, await the same task), fresh compute.
 
-        When the source job carries a trace, the whole resolution is
-        wrapped in an ``experiment`` span: dedup hits get a span tagged
-        with their source, computed experiments additionally gain
-        ``queue_wait``, one ``lease`` span per granted attempt (from
-        the coordinator's lease log, tagged worker/token/outcome, the
-        completing attempt holding the re-parented worker span tree)
-        and a ``warehouse_record`` span.
+        Inside a job's trace the whole resolution is an ``experiment``
+        span: dedup hits get a span tagged with their source, computed
+        experiments additionally gain ``queue_wait``, one ``lease`` span
+        per granted attempt (from the coordinator's lease log, tagged
+        worker/token/outcome, the completing attempt holding the
+        re-parented worker span tree) and a ``warehouse_record`` span.
         """
         key = experiment.key()
-        trace = None if source_job is None else source_job.trace
-        exp_span: Optional[Span] = None
-        exp_mark = 0.0
-        if trace is not None:
-            exp_span, exp_mark = trace.begin(
-                "experiment",
-                key=key,
-                benchmark=experiment.benchmark,
-                config=experiment.config_label(),
-            )
-        try:
+        with span(
+            "experiment",
+            key=key,
+            benchmark=experiment.benchmark,
+            config=experiment.config_label(),
+        ) as exp_span:
             if self._store is not None:
                 payload = self._store.get(key)
                 if payload is not None and payload.get("status") == STATUS_OK:
@@ -839,9 +793,7 @@ class JobManager:
                     _DEDUP_HITS.inc(level="store")
                     if exp_span is not None:
                         exp_span.annotate(source="store")
-                    await self._record_traced(
-                        key, payload, campaign, trace, exp_span
-                    )
+                    await self._record_async(key, payload, campaign)
                     return payload
             task = self._inflight.get(key)
             if task is not None:
@@ -850,12 +802,14 @@ class JobManager:
                 if exp_span is not None:
                     exp_span.annotate(source="inflight")
                 payload = await asyncio.shield(task)
-                await self._record_traced(
-                    key, payload, campaign, trace, exp_span
-                )
+                await self._record_async(key, payload, campaign)
                 return payload
-            task = asyncio.get_running_loop().create_task(
-                self._compute(experiment, key, job_class, deadline, trace)
+            # Every job deduping onto this key shares the task, and it
+            # lazily starts the pump and sweeper: run it in an empty
+            # context so no long-lived task keeps this job's span chain.
+            task = contextvars.Context().run(
+                asyncio.get_running_loop().create_task,
+                self._compute(experiment, key, job_class, deadline, trace_id),
             )
             self._inflight[key] = task
             try:
@@ -864,12 +818,9 @@ class JobManager:
                 self._inflight.pop(key, None)
             if exp_span is not None:
                 exp_span.annotate(source="fleet")
-                self._attach_lease_spans(trace, exp_span, key, payload)
-            await self._record_traced(key, payload, campaign, trace, exp_span)
+                self._attach_lease_spans(exp_span, key, payload)
+            await self._record_async(key, payload, campaign)
             return payload
-        finally:
-            if exp_span is not None:
-                JobTrace.end(exp_span, exp_mark)
 
     async def _compute(
         self,
@@ -877,7 +828,7 @@ class JobManager:
         key: str,
         job_class: str = BATCH,
         deadline: Optional[float] = None,
-        trace: Optional[JobTrace] = None,
+        trace_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         self.stats["computed"] += 1
         self.fleet.ensure_sweeper()
@@ -889,15 +840,15 @@ class JobManager:
             experiment.to_dict(),
             job_class=job_class,
             deadline=deadline,
-            trace=None if trace is None else trace.context(parent=key),
+            trace=(
+                None
+                if trace_id is None
+                else {"trace_id": trace_id, "parent": key}
+            ),
         )
 
     def _attach_lease_spans(
-        self,
-        trace: JobTrace,
-        exp_span: Span,
-        key: str,
-        payload: Dict[str, Any],
+        self, exp_span: Span, key: str, payload: Dict[str, Any]
     ) -> None:
         """Rebuild queue/lease history as spans under the experiment.
 
@@ -919,27 +870,26 @@ class JobManager:
             waited_until = (
                 attempts[0]["granted_t"] if attempts else now_mono
             )
-            queue_wait = trace.mark(
-                "queue_wait",
-                parent=exp_span,
-                leased=bool(attempts),
-            )
+            queue_wait = Span("queue_wait", {"leased": bool(attempts)})
             queue_wait.start_s = log.get("submitted_wall")
             queue_wait.elapsed_s = max(0.0, waited_until - submitted_t)
+            exp_span.children.append(queue_wait)
         worker_tree = payload.get("trace")
         worker_attempt = payload.get("attempt")
         for record in attempts:
             end_t = record["end_t"] if record["end_t"] is not None else now_mono
-            lease_span = trace.mark(
+            lease_span = Span(
                 "lease",
-                parent=exp_span,
-                worker=record["worker"],
-                token=record["token"],
-                attempt=record["attempt"],
-                outcome=record["outcome"] or "abandoned",
+                {
+                    "worker": record["worker"],
+                    "token": record["token"],
+                    "attempt": record["attempt"],
+                    "outcome": record["outcome"] or "abandoned",
+                },
             )
             lease_span.start_s = record["granted_wall"]
             lease_span.elapsed_s = max(0.0, end_t - record["granted_t"])
+            exp_span.children.append(lease_span)
             if (
                 isinstance(worker_tree, dict)
                 and record["outcome"] == "completed"
@@ -949,31 +899,6 @@ class JobManager:
                 )
             ):
                 lease_span.children.append(Span.from_dict(worker_tree))
-
-    async def _record_traced(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        campaign: Optional[str],
-        trace: Optional[JobTrace],
-        exp_span: Optional[Span],
-    ) -> None:
-        """``_record_async`` wrapped in a ``warehouse_record`` span."""
-        if (
-            trace is None
-            or exp_span is None
-            or self._warehouse is None
-            or payload.get("status") != STATUS_OK
-        ):
-            await self._record_async(key, payload, campaign)
-            return
-        record_span, mark = trace.begin(
-            "warehouse_record", parent=exp_span, key=key
-        )
-        try:
-            await self._record_async(key, payload, campaign)
-        finally:
-            JobTrace.end(record_span, mark)
 
     async def _record_async(
         self,
@@ -990,9 +915,10 @@ class JobManager:
         """
         if self._warehouse is None or payload.get("status") != STATUS_OK:
             return
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._record, key, payload, campaign
-        )
+        with span("warehouse_record", key=key):
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._record, key, payload, campaign
+            )
 
     def _record_trace(self, job: ServiceJob) -> None:
         """Persist a settled job's trace tree (worker thread).
@@ -1005,11 +931,11 @@ class JobManager:
             return
         try:
             self._warehouse.record_trace(
-                trace_id=job.trace_id or job.trace.trace_id,
+                trace_id=job.trace_id,
                 job_id=job.id,
                 kind=job.kind,
                 created_at=job.created_at,
-                tree=job.trace.snapshot(),
+                tree=job.trace.to_dict(),
             )
         except Exception:
             _log.warning("trace record failed", extra={"job": job.id})
@@ -1024,12 +950,16 @@ class JobManager:
                     break
         if job is None or job.trace is None:
             return None
+        tree = job.trace.to_dict()
+        if job.trace.elapsed_s == 0.0:
+            # The root is still open: report its elapsed time so far.
+            tree["elapsed_s"] = max(0.0, time.time() - job.trace.start_s)
         return {
             "job": job.id,
             "trace": job.trace_id,
             "kind": job.kind,
             "status": job.status,
-            "tree": job.trace.snapshot(),
+            "tree": tree,
         }
 
     def _record(
@@ -1063,10 +993,10 @@ class JobManager:
         async def one_point(experiment: ExperimentJob):
             payload = await self._run_experiment(
                 experiment,
-                source_job=job,
                 campaign=campaign,
                 job_class=BATCH,
                 deadline=job.deadline_at,
+                trace_id=job.trace_id,
             )
             return experiment, payload
 

@@ -2,9 +2,10 @@
 
 Four independent layers, all stdlib-only:
 
-* :mod:`repro.telemetry.trace` — opt-in timed span trees
-  (``with span("schedule_loop", loop=name): ...``), serialized across
-  the campaign's worker-process boundary, rendered by ``repro trace``;
+* :mod:`repro.telemetry.trace` — timed span trees, opt-in per process
+  (``with span("schedule_loop", loop=name): ...``) or always live
+  under a :func:`root_span` (the service's per-job roots), serialized
+  across the worker-process boundary, rendered by ``repro trace``;
 * :mod:`repro.telemetry.metrics` — always-on counters/gauges/histograms
   in a process-wide registry, served as Prometheus text on the
   service's ``GET /metrics``;
@@ -52,11 +53,11 @@ from repro.telemetry.trace import (
     TRACE_ENV,
     Span,
     attribution,
-    current_span,
     disable_tracing,
     enable_tracing,
     env_tracing_requested,
     merge_summaries,
+    root_span,
     span,
     span_count,
     summarize_trace,
@@ -86,7 +87,6 @@ __all__ = [
     "attribution",
     "configure_logging",
     "counter",
-    "current_span",
     "disable_tracing",
     "enable_tracing",
     "env_tracing_requested",
@@ -96,6 +96,7 @@ __all__ = [
     "level_for",
     "merge_summaries",
     "render_prometheus",
+    "root_span",
     "span",
     "span_count",
     "summarize_trace",

@@ -2,9 +2,11 @@
 
 A *span* is one named, timed region of work with optional attributes
 (``span("schedule_loop", loop=name)``), counters accumulated while it is
-open, and child spans opened inside it.  Spans form a per-thread stack;
-closing a span attaches it to its parent, so a traced run yields a tree
-whose timings attribute wall time to named pipeline work::
+open, and child spans opened inside it.  The innermost open span lives
+in a :class:`contextvars.ContextVar`, so every thread and every asyncio
+task follows its own chain; a span joins its parent's children when it
+opens, so a traced run yields a tree whose timings attribute wall time
+to named pipeline work (and a live tree already shows open spans)::
 
     from repro.telemetry import enable_tracing, span
 
@@ -16,13 +18,15 @@ whose timings attribute wall time to named pipeline work::
 
 Tracing is **opt-in and near-free when off**: the module-level
 :func:`span` returns one shared null context manager (no allocation, no
-clock read) unless :func:`enable_tracing` ran — the hot pipeline paths
-stay unperturbed, which is what keeps the ``BENCH_pipeline.json`` gate
-honest.  Enablement also flows from the ``REPRO_TRACE`` environment
-variable (any non-empty value but ``0``), which is how spawn-platform
-pool workers — who inherit the environment but not module globals —
-and subprocesses pick it up; the campaign executor additionally passes
-an explicit flag through its worker initializer.
+clock read) unless :func:`enable_tracing` ran or a live span is current
+— the hot pipeline paths stay unperturbed, which is what keeps the
+``BENCH_pipeline.json`` gate honest.  :func:`root_span` is always live:
+the service roots each job's trace with it without turning tracing on
+for the process.  Enablement also flows from the ``REPRO_TRACE``
+environment variable (any non-empty value but ``0``), which is how
+spawn-platform pool workers — who inherit the environment but not
+module globals — and subprocesses pick it up; the campaign executor
+additionally passes an explicit flag through its worker initializer.
 
 Span trees serialize to JSON-safe dicts (:meth:`Span.to_dict`), so a
 worker process ships its per-job tree back inside the job payload and
@@ -32,8 +36,8 @@ the warehouse ingests flattened summaries (:func:`summarize_trace`).
 from __future__ import annotations
 
 import os
-import threading
 import time
+from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional
 
 #: Environment variable enabling tracing at import (``1``/anything
@@ -125,16 +129,13 @@ class Span:
 
 
 # ----------------------------------------------------------------------
-# the per-thread span stack
+# the per-context span chain
 # ----------------------------------------------------------------------
-_local = threading.local()
-
-
-def _stack() -> List[Span]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
+#: The innermost open span of this context (thread or asyncio task);
+#: each span's parent is the value this held when it opened.
+_current: ContextVar[Optional[Span]] = ContextVar(
+    "repro_current_span", default=None
+)
 
 
 def enable_tracing() -> None:
@@ -144,21 +145,19 @@ def enable_tracing() -> None:
 
 
 def disable_tracing() -> None:
-    """Turn span collection off and drop any open spans."""
+    """Turn span collection off and drop the calling context's chain.
+
+    Only the caller's context forgets its open spans; other threads and
+    tasks keep theirs (a :func:`root_span` chain stays live).
+    """
     global _enabled
     _enabled = False
-    _stack().clear()
+    _current.set(None)
 
 
 def tracing_enabled() -> bool:
-    """True when :func:`span` produces live spans."""
+    """True when :func:`span` produces live spans in every context."""
     return _enabled
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open span of this thread (None when untraced)."""
-    stack = _stack()
-    return stack[-1] if stack else None
 
 
 def span_count(counter: str, n: int = 1) -> None:
@@ -166,11 +165,9 @@ def span_count(counter: str, n: int = 1) -> None:
 
     The cheap flush point for hot code: count locally, call this once.
     """
-    if not _enabled:
-        return
-    stack = _stack()
-    if stack:
-        stack[-1].count(counter, n)
+    current = _current.get()
+    if current is not None:
+        current.count(counter, n)
 
 
 class _NullSpanContext:
@@ -189,41 +186,55 @@ _NULL_SPAN = _NullSpanContext()
 
 
 class _SpanContext:
-    """Opens a live span on enter, times and attaches it on exit."""
+    """Opens a live span on enter (joining its parent), times it on exit."""
 
-    __slots__ = ("_span", "_started")
+    __slots__ = ("_span", "_started", "_token", "_root")
 
-    def __init__(self, name: str, attributes: Dict[str, Any]) -> None:
+    def __init__(
+        self, name: str, attributes: Dict[str, Any], root: bool = False
+    ) -> None:
         self._span = Span(name, attributes)
         self._started = 0.0
+        self._token: Any = None
+        self._root = root
 
     def __enter__(self) -> Span:
-        _stack().append(self._span)
+        if not self._root:
+            parent = _current.get()
+            if parent is not None:
+                parent.children.append(self._span)
+        self._token = _current.set(self._span)
         self._span.start_s = time.time()
         self._started = time.perf_counter()
         return self._span
 
     def __exit__(self, *exc_info: Any) -> bool:
         self._span.elapsed_s = time.perf_counter() - self._started
-        stack = _stack()
-        # Tolerate disable_tracing() (stack cleared) inside the span.
-        if stack and stack[-1] is self._span:
-            stack.pop()
-        if stack:
-            stack[-1].children.append(self._span)
+        _current.reset(self._token)
         return False
 
 
 def span(name: str, **attributes: Any):
     """A context manager timing ``name``; yields the live :class:`Span`.
 
-    When tracing is disabled this returns a shared null context manager
-    (``with span(...) as sp`` binds ``sp = None``) — callers guard
-    span-only work with ``if sp is not None``.
+    When tracing is disabled and no live span is current, this returns
+    a shared null context manager (``with span(...) as sp`` binds
+    ``sp = None``) — callers guard span-only work with
+    ``if sp is not None``.
     """
-    if not _enabled:
+    if not _enabled and _current.get() is None:
         return _NULL_SPAN
     return _SpanContext(name, attributes)
+
+
+def root_span(name: str, **attributes: Any):
+    """A context manager opening a live, parentless span.
+
+    Live whatever :func:`tracing_enabled` says, and never attached to
+    the current span: it starts a fresh tree, and every :func:`span`
+    opened inside it in the same context is live and nests under it.
+    """
+    return _SpanContext(name, attributes, root=True)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,12 @@ and span-stats provenance columns, the timeline renderer's clock-skew
 clamping, and the end-to-end property: a fleet-executed job whose
 first lease holder dies yields ONE trace containing both attempts on
 both workers, with the completing worker's span tree re-parented
-byte-stably.
+byte-stably.  Single-process service timelines place every lifecycle
+span at or after the root and show open spans while the job runs.
 """
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -17,7 +20,7 @@ import pytest
 from repro.fleet import FleetWorker, LeaseQueue
 from repro.pipeline.serialization import canonical_json
 from repro.reporting import render_timeline, timeline_attribution
-from repro.service import ServiceClient
+from repro.service import JobManager, ServiceClient
 from repro.telemetry import (
     FlightRecorder,
     Span,
@@ -307,6 +310,81 @@ class TestWarehouseTraces:
                 (key,),
             ).fetchall()
             assert tuple(row) == (None, None, None)
+
+
+# ----------------------------------------------------------------------
+def run_inline_job(run_payload, while_running=None):
+    """One evaluate on an inline single-thread manager; returns timelines.
+
+    ``while_running(manager, job)`` (a coroutine function) runs after
+    submission, before the job settles; the settled timeline follows.
+    """
+    executor = JobManager.inline_executor(1)
+
+    async def body():
+        manager = JobManager(executor=executor, run_payload=run_payload)
+        try:
+            job = manager.submit_evaluate(
+                {"benchmark": "171.swim", "scale": 0.01, "simulate": False}
+            )
+            live = None
+            if while_running is not None:
+                live = await while_running(manager, job)
+            finished = await manager.wait(job.id, timeout=15)
+            assert finished.status == "done", finished.error
+            return live, manager.timeline(job.id)
+        finally:
+            await manager.close()
+
+    try:
+        return asyncio.run(body())
+    finally:
+        executor.shutdown(wait=True)
+
+
+def named(node, name):
+    return [child for child in node.get("children", ()) if child["name"] == name]
+
+
+class TestServiceTimeline:
+    def test_single_process_timeline_has_no_clock_skew(self):
+        _live, timeline = run_inline_job(ok_payload)
+        tree = timeline["tree"]
+        assert "clock skew" not in render_timeline(timeline)
+        root_start = tree["start_s"]
+        stack = list(tree.get("children", ()))
+        while stack:
+            node = stack.pop()
+            assert node["start_s"] >= root_start, node["name"]
+            stack.extend(node.get("children", ()))
+        admission = tree["children"][0]
+        assert admission["name"] == "admission"
+        assert admission["start_s"] == root_start  # offset 0
+        [experiment] = named(tree, "experiment")
+        assert named(experiment, "queue_wait") and named(experiment, "lease")
+        assert tree["attributes"]["status"] == "done"
+
+    def test_live_timeline_shows_the_open_experiment(self):
+        release = threading.Event()
+
+        def blocking(job_data):
+            release.wait(10)
+            return ok_payload(job_data)
+
+        async def peek(manager, job):
+            await asyncio.sleep(0.05)
+            try:
+                return manager.timeline(job.id)
+            finally:
+                release.set()
+
+        live, settled = run_inline_job(blocking, while_running=peek)
+        assert live["status"] == "running"
+        assert live["tree"]["elapsed_s"] > 0.0
+        [experiment] = named(live["tree"], "experiment")
+        assert experiment["elapsed_s"] == 0.0  # still open
+        [experiment] = named(settled["tree"], "experiment")
+        assert experiment["elapsed_s"] > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -482,6 +482,83 @@ class TestHttpService:
         finally:
             connection.close()
 
+    def test_negative_content_length_is_a_400_not_a_500(self, service):
+        client, _ = service
+        import http.client
+        import json as json_module
+
+        connection = http.client.HTTPConnection(
+            client.host, client.port, timeout=30
+        )
+        try:
+            connection.putrequest("POST", "/v1/evaluate")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", "-1")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            document = json_module.loads(response.read())
+            assert document["error"]["code"] == "bad_request"
+        finally:
+            connection.close()
+
+
+def read_request(head: bytes, body: bytes = b"{}"):
+    """Drive the HTTP request parser over one fed request."""
+    from repro.service.http import _read_request
+
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"POST /v1/evaluate HTTP/1.1\r\n" + head + body)
+        reader.feed_eof()
+        return await _read_request(reader)
+
+    return asyncio.run(parse())
+
+
+class TestContentLength:
+    """RFC 9112 §6.3: ``Content-Length`` is ASCII ``1*DIGIT``, one value."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            b"-1",
+            b"+2",
+            b"0_2",
+            b"\x0b2",  # whitespace int() skips, but not field OWS
+            b"\xa02",
+            "\uff12".encode(),  # fullwidth digit two
+            b"2, 2",
+            b"",
+        ],
+    )
+    def test_rejects_anything_but_ascii_digits(self, value):
+        from repro.service.http import _HttpError
+
+        with pytest.raises(_HttpError) as excinfo:
+            read_request(b"Content-Length: " + value + b"\r\n\r\n")
+        assert excinfo.value.status == 400
+
+    def test_rejects_conflicting_duplicates(self):
+        from repro.service.http import _HttpError
+
+        with pytest.raises(_HttpError) as excinfo:
+            # The last value alone would frame the two-byte body.
+            read_request(b"Content-Length: 3\r\nContent-Length: 2\r\n\r\n")
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"Content-Length: 2\r\n\r\n",
+            b"Content-Length: \t 2 \r\n\r\n",  # optional whitespace
+            b"Content-Length: 2\r\ncontent-length: 2\r\n\r\n",
+        ],
+    )
+    def test_accepts_a_single_digit_string(self, head):
+        method, path, _query, _headers, body = read_request(head)
+        assert (method, path, body) == ("POST", "/v1/evaluate", {})
+
 
 class TestRealPipelineOverHttp:
     def test_real_evaluate_and_warehouse_sync(self, tmp_path):
@@ -527,8 +604,12 @@ class TestInlineRunnerCaches:
         # be handed back untouched when the manager closes.
         from repro.campaign.executor import execute_job_payload
         from repro.pipeline.cache import LOOP_CACHE, STAGE_CACHE
+        from repro.telemetry import disable_tracing
         from repro.workloads.spec_profiles import SPEC2000_PROFILES
 
+        # In-process fleet workers in other tests switch tracing on for
+        # the whole process; the trace check below needs it off.
+        disable_tracing()
         attached = (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir)
         store = ResultStore(tmp_path / "cache")
 
@@ -556,6 +637,9 @@ class TestInlineRunnerCaches:
         run_async(body)
         assert len(store) == 10
         assert (STAGE_CACHE.store_dir, LOOP_CACHE.store_dir) == attached
+        # A job's root span never makes worker-thread spans live: the
+        # executor threads start with an empty span chain.
+        assert all(store.get(key)["trace"] is None for key in store.keys())
 
 
 class TestServeCLI:

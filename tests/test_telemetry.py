@@ -1,8 +1,10 @@
 """Tests for the telemetry layer (repro.telemetry)."""
 
+import asyncio
 import io
 import json
 import logging
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +26,7 @@ from repro.telemetry import (
     level_for,
     merge_summaries,
     render_prometheus,
+    root_span,
     span,
     span_count,
     summarize_trace,
@@ -118,6 +121,74 @@ class TestSpans:
         assert attribution(root) == 1.0
         empty = Span("empty")
         assert attribution(empty) == 1.0
+
+    def test_interleaved_asyncio_tasks_keep_their_own_children(self):
+        enable_tracing()
+
+        async def task(name):
+            with span(name) as parent:
+                await asyncio.sleep(0.01)
+                with span(name + ".child"):
+                    await asyncio.sleep(0.01)
+            return parent
+
+        async def both():
+            return await asyncio.gather(task("a"), task("b"))
+
+        a, b = asyncio.run(both())
+        assert [child.name for child in a.children] == ["a.child"]
+        assert [child.name for child in b.children] == ["b.child"]
+
+    def test_a_thread_starts_with_no_current_span(self):
+        seen = {}
+
+        def worker():
+            with span("in_thread") as sp:
+                seen["span"] = sp
+
+        def run_thread():
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+
+        with root_span("job") as root:
+            run_thread()
+        assert seen["span"] is None  # the root's chain stayed behind
+        assert root.children == []
+        enable_tracing()
+        with span("outer") as outer:
+            run_thread()
+        assert seen["span"] is not None  # live, but a root of its own
+        assert outer.children == []
+
+    def test_root_span_is_live_with_tracing_off(self):
+        assert not tracing_enabled()
+        with root_span("job", kind="test") as root:
+            with span("step") as step:
+                span_count("probes", 3)
+                with span("inner"):
+                    pass
+        assert root is not None and step is not None
+        assert root.attributes == {"kind": "test"}
+        assert root.elapsed_s > 0.0
+        assert [child.name for child in root.children] == ["step"]
+        assert step.counters == {"probes": 3}
+        assert [child.name for child in step.children] == ["inner"]
+        assert span("after") is span("else")  # back on the null path
+
+    def test_root_span_never_attaches_to_the_current_span(self):
+        enable_tracing()
+        with span("outer") as outer:
+            with root_span("job"):
+                pass
+        assert outer.children == []
+
+    def test_a_span_joins_its_parent_when_it_opens(self):
+        enable_tracing()
+        with span("parent") as parent:
+            with span("open") as child:
+                assert parent.children == [child]
+                assert child.elapsed_s == 0.0
 
     def test_env_request_parsing(self):
         assert not env_tracing_requested({})

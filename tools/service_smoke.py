@@ -2,12 +2,14 @@
 """CI smoke test of the evaluation service, end to end over real pipes.
 
 Starts ``python -m repro serve`` as a subprocess, submits a scale-0.05
-evaluate over HTTP, polls it to completion, checks the dedup counters,
-scrapes ``/metrics`` and asserts the dedup/latency/stage-cache series
-are live, shuts the server down, and finally asks ``python -m repro
-query`` for the warehouse's view of the freshly computed job —
-exercising exactly the path an operator would: server process, HTTP
-client, Prometheus scrape, SQLite index.
+evaluate over HTTP, polls it to completion, checks the job's timeline
+(lifecycle spans present, no clock skew on one host, >=95% of its wall
+time attributed), checks the dedup counters, scrapes ``/metrics`` and
+asserts the dedup/latency/stage-cache series are live, shuts the server
+down, and finally asks ``python -m repro query`` for the warehouse's
+view of the freshly computed job — exercising exactly the path an
+operator would: server process, HTTP client, Prometheus scrape, SQLite
+index.
 
 Exits non-zero (with the server log on stderr) on any failure.
 """
@@ -66,6 +68,30 @@ def check_metrics(scrape: str) -> None:
     )
 
 
+def check_timeline(client, job_id: str) -> None:
+    """Assert a settled single-host job's timeline is whole and unskewed."""
+    from repro.reporting import render_timeline, timeline_attribution
+
+    timeline = client.timeline(job_id)
+    tree = timeline["tree"]
+    text = render_timeline(timeline)
+    if "clock skew" in text:
+        raise RuntimeError(f"single-host timeline reports clock skew:\n{text}")
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        names.add(node["name"])
+        stack.extend(node.get("children", ()))
+    missing = {"admission", "experiment", "lease"} - names
+    if missing:
+        raise RuntimeError(f"timeline lacks {sorted(missing)}:\n{text}")
+    attributed = timeline_attribution(tree)
+    if attributed < 0.95:
+        raise RuntimeError(f"timeline attributes only {attributed:.1%}:\n{text}")
+    print(f"timeline ok: {attributed:.1%} attributed, spans {sorted(names)}")
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{ROOT / 'src'}{os.pathsep}" + env.get("PYTHONPATH", "")
@@ -116,6 +142,7 @@ def main() -> int:
                 raise RuntimeError(f"job failed: {finished.get('error')}")
             summary = client.result(job["id"])["result"]["summary"]
             print(f"completed: {json.dumps(summary, sort_keys=True)}")
+            check_timeline(client, job["id"])
 
             duplicate = client.submit_evaluate(
                 benchmark="171.swim", scale=0.05, simulate=False
