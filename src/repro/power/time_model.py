@@ -21,18 +21,18 @@ assumption), and
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional
+from itertools import chain
+from typing import Dict
 
 from repro.errors import InfeasibleITError
-from repro.ir.opcodes import OpClass
 from repro.machine.fu import FUType, fu_for
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
 from repro.power.profile import LoopProfile, ProgramProfile
-from repro.units import Time, floor_div
+from repro.scheduler.mii import _capacity_satisfied
+from repro.units import ascending_multiples, floor_div
 
 
 @dataclass(frozen=True)
@@ -53,32 +53,6 @@ def fu_demand(class_counts) -> Dict[FUType, int]:
         if fu is not None:
             demand[fu] += count
     return demand
-
-
-def _candidate_its(speeds: MachineSpeeds, start: Fraction) -> Iterator[Fraction]:
-    """Ascending ITs at which some capacity term can jump.
-
-    Capacities change only when ``floor(IT / Tcyc_d)`` increments for some
-    domain, i.e. at multiples of a domain cycle time.  The stream starts
-    with ``start`` itself, then merges the multiples of every relevant
-    period strictly above ``start``.
-    """
-    yield start
-    periods = list(speeds.cluster_cycle_times) + [speeds.icn_cycle_time]
-    heap: List[Fraction] = []
-    for period in set(periods):
-        k = floor_div(start, period) + 1
-        heapq.heappush(heap, k * period)
-    previous: Optional[Fraction] = None
-    while heap:
-        value = heapq.heappop(heap)
-        # Re-arm the period(s) whose multiple this was.
-        for period in set(periods):
-            if (value / period).denominator == 1:
-                heapq.heappush(heap, value + period)
-        if previous is None or value > previous:
-            previous = value
-            yield value
 
 
 class TimeModel:
@@ -104,20 +78,14 @@ class TimeModel:
         lifetimes: int,
     ) -> bool:
         machine = self._machine
-        iis = [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
-        for fu, needed in demand.items():
-            if needed == 0:
-                continue
-            slots = sum(
-                ii * machine.cluster(i).fu_count(fu) for i, ii in enumerate(iis)
-            )
-            if slots < needed:
-                return False
+        if not _capacity_satisfied(it, machine, speeds, demand):
+            return False
         if comms > 0:
             ii_icn = floor_div(it, speeds.icn_cycle_time)
             if machine.interconnect.n_buses * ii_icn < comms:
                 return False
         if lifetimes > 0:
+            iis = [floor_div(it, ct) for ct in speeds.cluster_cycle_times]
             reg_slots = sum(
                 ii * machine.cluster(i).n_regs for i, ii in enumerate(iis)
             )
@@ -137,7 +105,11 @@ class TimeModel:
             # No recurrences: the scan starts at the smallest IT giving the
             # fastest cluster a single slot.
             start = speeds.fastest_cluster_cycle_time
-        for steps, candidate in enumerate(_candidate_its(speeds, start)):
+        periods = list(speeds.cluster_cycle_times) + [speeds.icn_cycle_time]
+        candidates = chain(
+            (start,), ascending_multiples(periods, start, inclusive=False)
+        )
+        for steps, candidate in enumerate(candidates):
             if steps > self.MAX_CANDIDATES:  # pragma: no cover - safety net
                 break
             if self._capacity_ok(

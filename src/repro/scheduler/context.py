@@ -11,7 +11,10 @@ and per-edge delays — and is computed **once per loop**, shared across
 every IT candidate the driver tries (and memoized process-wide).
 :class:`SchedulingContext` layers the per-attempt state on top: the
 operating point, the (frequency, II) assignments and the IT-derived
-cluster parameters.
+cluster parameters.  Every per-attempt time is an integer tick count on
+the attempt's :func:`~repro.scheduler.schedule.clock_grid`: the IT and
+each running period are exact multiples of one quantum, so placement
+arithmetic is plain ``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.machine.fu import FU_CODE, N_FU_KINDS, fu_for
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import OperatingPoint
 from repro.scheduler.options import SchedulerOptions
-from repro.scheduler.schedule import DomainAssignment
+from repro.scheduler.schedule import DomainAssignment, clock_grid
 from repro.machine.clocking import ICN_DOMAIN, cluster_domain
 from repro.power.scaling import dynamic_scale, static_scale
 
@@ -269,32 +272,19 @@ class SchedulingContext:
         self.recurrence_ops = analysis.recurrence_ops
         self._delay_of = analysis.delay_by_dep
 
-        # Per-cluster running cycle times (None when gated).
-        self.cluster_cycle_times: List[Optional[Fraction]] = []
-        self.cluster_iis: List[int] = []
-        for index in range(machine.n_clusters):
-            assignment = self.assignments[cluster_domain(index)]
-            self.cluster_iis.append(assignment.ii)
-            self.cluster_cycle_times.append(
-                assignment.cycle_time if assignment.usable else None
-            )
-        icn = self.assignments[ICN_DOMAIN]
-        self.icn_ii: int = icn.ii
-        self.icn_cycle_time: Optional[Fraction] = (
-            icn.cycle_time if icn.usable else None
-        )
-        #: Float views used by the pseudo-scheduler's inner loop (one
-        #: conversion per attempt instead of one per candidate partition).
-        self.it_float: float = float(self.it)
-        self.cluster_ct_floats: List[Optional[float]] = [
-            float(t) if t is not None else None
-            for t in self.cluster_cycle_times
+        self.cluster_iis: List[int] = [
+            self.assignments[cluster_domain(index)].ii
+            for index in range(machine.n_clusters)
         ]
-        self.icn_ct_float: Optional[float] = (
-            float(self.icn_cycle_time)
-            if self.icn_cycle_time is not None
-            else None
-        )
+        self.icn_ii: int = self.assignments[ICN_DOMAIN].ii
+        grid = clock_grid(self.it, self.assignments, machine.n_clusters)
+        #: Length (ns) of one tick; every time below is in ticks.
+        self.quantum: Fraction = grid.quantum
+        self.it_ticks: int = grid.it
+        #: Running period per cluster (None when gated).
+        self.cluster_periods: Tuple[Optional[int], ...] = grid.clusters
+        #: Running period of the interconnect (None when gated).
+        self.icn_period: Optional[int] = grid.icn
         #: FU counts per cluster, indexed by dense FU code.
         self.cluster_fu_counts: Tuple[Tuple[int, ...], ...] = tuple(
             machine.cluster(index).fu_counts_by_code
@@ -332,8 +322,9 @@ class SchedulingContext:
             return edge_delay(dep, self.isa)
         return delay
 
-    def sync_penalty(self, from_ct: Fraction, to_ct: Fraction) -> Fraction:
-        """One receiving-domain cycle on a frequency-crossing (or zero)."""
-        if self.options.sync_penalties and from_ct != to_ct:
-            return Fraction(to_ct)
-        return Fraction(0)
+    def sync_penalty(self, from_period: int, to_period: int) -> int:
+        """One receiving-domain cycle (ticks) on a frequency crossing, or
+        zero."""
+        if self.options.sync_penalties and from_period != to_period:
+            return to_period
+        return 0

@@ -1,9 +1,12 @@
 """The iterative modulo-scheduling kernel (placement engine).
 
 Rau's iterative modulo scheduling, generalised to heterogeneous timing:
-all dependence reasoning happens in continuous (rational) time, while
-slots live on per-cluster modulo reservation tables indexed in each
-cluster's local cycles and on the bus table in interconnect cycles.
+all dependence reasoning happens in integer ticks of the attempt's common
+time grid (every cluster period, the bus period and the IT are exact
+multiples of one quantum, see
+:func:`~repro.scheduler.schedule.clock_grid`), while slots live on
+per-cluster modulo reservation tables indexed in each cluster's local
+cycles and on the bus table in interconnect cycles.
 
 For each operation (most critical first) the engine computes the
 earliest legal issue time from its placed producers (including bus
@@ -23,7 +26,6 @@ exhaustion signals the driver to increase the IT.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
@@ -37,7 +39,6 @@ from repro.scheduler.priorities import priority_key
 from repro.scheduler.schedule import PlacedCopy, PlacedOp
 from repro.telemetry import span_count
 from repro.telemetry import counter as _metric_counter
-from repro.units import ceil_div, floor_div
 
 #: Reservation-table slot probes (cycles scanned for a free FU slot).
 #: Counted locally per placement run and flushed once — the per-cycle
@@ -75,11 +76,11 @@ class KernelScheduler:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _cluster_ct(self, cluster: int) -> Fraction:
-        ct = self._ctx.cluster_cycle_times[cluster]
-        if ct is None:
+    def _period(self, cluster: int) -> int:
+        period = self._ctx.cluster_periods[cluster]
+        if period is None:
             raise SchedulingError(f"cluster {cluster} is gated at this IT")
-        return ct
+        return period
 
     def _needs_copy(self, dep: Dependence) -> bool:
         if not dep.carries_value:
@@ -97,20 +98,19 @@ class KernelScheduler:
         cycles (the op being placed is not in ``self._placements`` yet).
         """
         ctx = self._ctx
-        icn_ct = ctx.icn_cycle_time
-        if icn_ct is None:
+        icn = ctx.icn_period
+        if icn is None:
             return (0, -1)  # empty window
-        src_ct = self._cluster_ct(self._partition.cluster_of(dep.src))
-        dst_ct = self._cluster_ct(self._partition.cluster_of(dep.dst))
-        ready = producer_cycle * src_ct + ctx.delay(dep) * src_ct
-        ready += ctx.sync_penalty(src_ct, icn_ct)
-        b_min = ceil_div(ready, icn_ct)
+        src = self._period(self._partition.cluster_of(dep.src))
+        dst = self._period(self._partition.cluster_of(dep.dst))
+        ready = (producer_cycle + ctx.delay(dep)) * src + ctx.sync_penalty(src, icn)
         deadline = (
-            consumer_cycle * dst_ct
-            + dep.distance * ctx.it
-            - ctx.sync_penalty(icn_ct, dst_ct)
+            consumer_cycle * dst
+            + dep.distance * ctx.it_ticks
+            - ctx.sync_penalty(icn, dst)
         )
-        b_max = floor_div(deadline, icn_ct) - ctx.machine.interconnect.latency
+        b_min = -(-ready // icn)
+        b_max = deadline // icn - ctx.machine.interconnect.latency
         return (b_min, b_max)
 
     def _find_bus_cycle(self, b_min: int, b_max: int) -> Optional[int]:
@@ -126,29 +126,30 @@ class KernelScheduler:
     # ------------------------------------------------------------------
     # constraint evaluation for a hypothetical placement
     # ------------------------------------------------------------------
-    def _earliest_time(self, op: Operation) -> Fraction:
-        """Earliest legal issue instant from placed producers (optimistic
-        about bus availability — slots are checked during placement)."""
+    def _earliest_time(self, op: Operation) -> int:
+        """Earliest legal issue instant (ticks) from placed producers
+        (optimistic about bus availability — slots are checked during
+        placement)."""
         ctx = self._ctx
         cluster = self._partition.cluster_of(op)
-        dst_ct = self._cluster_ct(cluster)
-        earliest = Fraction(0)
+        dst = self._period(cluster)
+        earliest = 0
         for dep in ctx.ddg.in_edges(op):
             if dep.src not in self._placements or dep.src is op:
                 continue
             src_placed = self._placements[dep.src]
-            src_ct = self._cluster_ct(src_placed.cluster)
-            available = src_placed.cycle * src_ct + ctx.delay(dep) * src_ct
+            src = self._period(src_placed.cluster)
+            available = (src_placed.cycle + ctx.delay(dep)) * src
             if self._needs_copy(dep):
-                icn_ct = ctx.icn_cycle_time
-                if icn_ct is None:
+                icn = ctx.icn_period
+                if icn is None:
                     raise SchedulingError("communication on a gated interconnect")
-                bus_ready = available + ctx.sync_penalty(src_ct, icn_ct)
-                b_min = ceil_div(bus_ready, icn_ct)
+                bus_ready = available + ctx.sync_penalty(src, icn)
+                b_min = -(-bus_ready // icn)
                 available = (
                     b_min + ctx.machine.interconnect.latency
-                ) * icn_ct + ctx.sync_penalty(icn_ct, dst_ct)
-            earliest = max(earliest, available - dep.distance * ctx.it)
+                ) * icn + ctx.sync_penalty(icn, dst)
+            earliest = max(earliest, available - dep.distance * ctx.it_ticks)
         return earliest
 
     def _deadline_violations(
@@ -162,7 +163,7 @@ class KernelScheduler:
         """
         ctx = self._ctx
         cluster = self._partition.cluster_of(op)
-        src_ct = self._cluster_ct(cluster)
+        src = self._period(cluster)
         violated: List[Operation] = []
         for dep in ctx.ddg.out_edges(op):
             if dep.dst not in self._placements or dep.dst is op:
@@ -170,17 +171,13 @@ class KernelScheduler:
             if self._needs_copy(dep):
                 continue  # handled by _collect_copies
             consumer = self._placements[dep.dst]
-            ready = (
-                cycle * src_ct
-                + ctx.delay(dep) * src_ct
-                - dep.distance * ctx.it
-            )
-            if consumer.cycle * self._cluster_ct(consumer.cluster) < ready:
+            ready = (cycle + ctx.delay(dep)) * src - dep.distance * ctx.it_ticks
+            if consumer.cycle * self._period(consumer.cluster) < ready:
                 violated.append(dep.dst)
         # Self-edges: issue(v) >= issue(v) + delay - w*IT, i.e. the
         # recurrence bound; violation means the IT is too small.
         for dep in ctx.ddg.out_edges(op):
-            if dep.dst is op and ctx.delay(dep) * src_ct > dep.distance * ctx.it:
+            if dep.dst is op and ctx.delay(dep) * src > dep.distance * ctx.it_ticks:
                 raise SchedulingError(
                     f"self-recurrence of {op.name} exceeds IT {ctx.it}"
                 )
@@ -268,12 +265,12 @@ class KernelScheduler:
         """Scan one II window for a conflict-free slot; commit if found."""
         ctx = self._ctx
         cluster = self._partition.cluster_of(op)
-        ct = self._cluster_ct(cluster)
+        period = self._period(cluster)
         ii = ctx.cluster_iis[cluster]
         table = self._tables[cluster]
         assert table is not None
         fu = fu_for(op.opclass)
-        start = max(0, ceil_div(self._earliest_time(op), ct))
+        start = max(0, -(-self._earliest_time(op) // period))
         for cycle in range(start, start + ii):
             if fu is not None and not table.is_free(cycle, fu):
                 continue
@@ -292,10 +289,10 @@ class KernelScheduler:
         """Place ``op`` unconditionally; evict whatever stands in the way."""
         ctx = self._ctx
         cluster = self._partition.cluster_of(op)
-        ct = self._cluster_ct(cluster)
+        period = self._period(cluster)
         table = self._tables[cluster]
         assert table is not None
-        start = max(0, ceil_div(self._earliest_time(op), ct))
+        start = max(0, -(-self._earliest_time(op) // period))
         cycle = max(start, self._prev_cycle.get(op, -1) + 1)
 
         evicted: List[Operation] = []
@@ -344,11 +341,11 @@ class KernelScheduler:
                 src_placed = self._placements[dep.src]
                 dst_placed = self._placements[dep.dst]
                 ready = (
-                    src_placed.cycle * self._cluster_ct(src_placed.cluster)
-                    + ctx.delay(dep) * self._cluster_ct(src_placed.cluster)
-                    - dep.distance * ctx.it
+                    (src_placed.cycle + ctx.delay(dep))
+                    * self._period(src_placed.cluster)
+                    - dep.distance * ctx.it_ticks
                 )
-                if dst_placed.cycle * self._cluster_ct(dst_placed.cluster) < ready:
+                if dst_placed.cycle * self._period(dst_placed.cluster) < ready:
                     self._evict(neighbour)
                     evicted.append(neighbour)
         return evicted

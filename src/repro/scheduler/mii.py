@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Dict, List, Tuple
 
 from repro.errors import InfeasibleITError
@@ -26,7 +27,7 @@ from repro.ir.ddg import DDG
 from repro.machine.fu import FUType, fu_for
 from repro.machine.machine import MachineDescription
 from repro.machine.operating_point import MachineSpeeds
-from repro.units import Time, ceil_div, floor_div
+from repro.units import Time, ascending_multiples, ceil_div, floor_div
 
 
 def ddg_fu_demand(ddg: DDG) -> Dict[FUType, int]:
@@ -142,13 +143,9 @@ def capacity_table(
     with the per-cluster IIs and the machine-wide issue slots
     (``sum_c II_c * issue_width_c``).
     """
-    periods = sorted(set(speeds.cluster_cycle_times))
-    candidates = sorted(
-        {
-            k * period
-            for period in periods
-            for k in range(1, floor_div(max_it, period) + 1)
-        }
+    candidates = takewhile(
+        lambda it: it <= max_it,
+        ascending_multiples(speeds.cluster_cycle_times, Fraction(0)),
     )
     rows: List[CapacityRow] = []
     for it in candidates:

@@ -10,18 +10,20 @@ it tracks the final schedule's iteration length, communication count and
 feasibility well enough to *compare partitions*, which is all the
 refinement needs.
 
-Floats are used here deliberately: the pseudo-scheduler runs in the
-refinement inner loop, and its output feeds a heuristic comparison, not a
-legality check.  This is the hottest function in the whole pipeline
-(thousands of candidate partitions per loop), so it works entirely on the
-dense integer-indexed arrays precomputed by
+All times are integer ticks of the attempt's common grid (the context's
+``quantum``), like the kernel's, so there are no rounding epsilons; only
+the two ns outputs the refinement's float cost model reads
+(:attr:`PseudoSchedule.it_length` and
+:attr:`PseudoSchedule.recurrence_violation`) are converted, once per
+pass.  This is the hottest function in the whole pipeline (thousands of
+candidate partitions per loop), so it works entirely on the dense
+integer-indexed arrays precomputed by
 :class:`~repro.scheduler.context.LoopAnalysis` — no enum hashing, no
 object-keyed dict lookups, no per-call latency-table queries.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -56,13 +58,12 @@ def pseudo_schedule(ctx: SchedulingContext, partition: Partition) -> PseudoSched
     """One list-scheduling pass over the partitioned loop."""
     analysis = ctx.analysis
     machine = ctx.machine
-    it = ctx.it_float
     window = ctx.options.pseudo_window
     sync_penalties = ctx.options.sync_penalties
 
     assign = partition.vector()
-    cluster_ct = ctx.cluster_ct_floats
-    icn_ct = ctx.icn_ct_float
+    cluster_period = ctx.cluster_periods
+    icn_period = ctx.icn_period
     bus_latency = machine.interconnect.latency
     n_buses = machine.interconnect.n_buses
     icn_ii = ctx.icn_ii
@@ -83,39 +84,38 @@ def pseudo_schedule(ctx: SchedulingContext, partition: Partition) -> PseudoSched
     bus_rows = [0] * icn_ii if icn_ii >= 1 else None
 
     n = analysis.n_ops
-    issue = [0.0] * n
-    finish = [0.0] * n
+    issue = [0] * n
+    finish = [0] * n
     overflow = 0
     comms = 0
-    ceil = math.ceil
 
     for position in analysis.topo_indices:
         cluster = assign[position]
-        ct = cluster_ct[cluster]
-        if ct is None:
+        period = cluster_period[cluster]
+        if period is None:
             # Op assigned to a gated cluster: unschedulable here.
             overflow += 1
-            issue[position] = 0.0
-            finish[position] = 0.0
+            issue[position] = 0
+            finish[position] = 0
             continue
-        ready = 0.0
+        ready = 0
         for src, delay, carries in pred_edges[position]:
             src_cluster = assign[src]
-            src_ct = cluster_ct[src_cluster]
-            if src_ct is None:
+            src_period = cluster_period[src_cluster]
+            if src_period is None:
                 continue
-            value_at = issue[src] + delay * src_ct
+            value_at = issue[src] + delay * src_period
             if carries and src_cluster != cluster:
                 comms += 1
-                if icn_ct is None:
+                if icn_period is None:
                     overflow += 1
                     if value_at > ready:
                         ready = value_at
                     continue
                 bus_ready = value_at
-                if sync_penalties and src_ct != icn_ct:
-                    bus_ready = value_at + icn_ct
-                bus_cycle = ceil(bus_ready / icn_ct - 1e-9)
+                if sync_penalties and src_period != icn_period:
+                    bus_ready = value_at + icn_period
+                bus_cycle = -(-bus_ready // icn_period)
                 placed_bus = False
                 if bus_rows is not None:
                     limit = bus_cycle + icn_ii * window
@@ -128,14 +128,14 @@ def pseudo_schedule(ctx: SchedulingContext, partition: Partition) -> PseudoSched
                         bus_cycle += 1
                 if not placed_bus:
                     overflow += 1
-                value_at = (bus_cycle + bus_latency) * icn_ct
-                if sync_penalties and icn_ct != ct:
-                    value_at += ct
+                value_at = (bus_cycle + bus_latency) * icn_period
+                if sync_penalties and icn_period != period:
+                    value_at += period
             if value_at > ready:
                 ready = value_at
 
         ii = cluster_iis[cluster]
-        cycle = ceil(ready / ct - 1e-9)
+        cycle = -(-ready // period)
         code = op_fu_code[position]
         if code >= 0:
             rows = fu_rows[cluster][code]
@@ -150,48 +150,47 @@ def pseudo_schedule(ctx: SchedulingContext, partition: Partition) -> PseudoSched
                 cycle += 1
             if not placed:
                 overflow += 1
-        issue[position] = cycle * ct
-        finish[position] = (cycle + op_latency[position]) * ct
+        issue[position] = cycle * period
+        finish[position] = (cycle + op_latency[position]) * period
 
-    it_length = max(finish, default=0.0)
+    it_length = max(finish, default=0)
 
     # Loop-carried feasibility: each recurrence circuit must close within
     # distance * IT once per-cluster latencies and copies are counted.
-    violation = 0.0
+    violation = 0
     for total_distance, hops in analysis.recurrence_hops:
-        total = 0.0
+        total = 0
         for src, dst, best_delay, carries in hops:
             src_cluster = assign[src]
             dst_cluster = assign[dst]
-            src_ct = cluster_ct[src_cluster]
-            if src_ct is None:
-                src_ct = float(
-                    max(t for t in cluster_ct if t is not None)
-                )
-            total += best_delay * src_ct
-            if carries and src_cluster != dst_cluster and icn_ct is not None:
-                dst_ct = cluster_ct[dst_cluster]
+            src_period = cluster_period[src_cluster]
+            if src_period is None:
+                src_period = max(t for t in cluster_period if t is not None)
+            total += best_delay * src_period
+            if carries and src_cluster != dst_cluster and icn_period is not None:
+                dst_period = cluster_period[dst_cluster]
                 sync_in = (
-                    icn_ct if sync_penalties and src_ct != icn_ct else 0.0
+                    icn_period if sync_penalties and src_period != icn_period else 0
                 )
-                out_ct = dst_ct if dst_ct is not None else icn_ct
+                out_period = dst_period if dst_period is not None else icn_period
                 sync_out = (
-                    out_ct if sync_penalties and icn_ct != out_ct else 0.0
+                    out_period if sync_penalties and icn_period != out_period else 0
                 )
-                total += sync_in + bus_latency * icn_ct + sync_out
-        budget = total_distance * it
-        if total > budget + 1e-9:
+                total += sync_in + bus_latency * icn_period + sync_out
+        budget = total_distance * ctx.it_ticks
+        if total > budget:
             violation += total - budget
 
     units = [0.0] * machine.n_clusters
     for position in range(n):
         units[assign[position]] += op_energy[position]
 
+    quantum = ctx.quantum
     return PseudoSchedule(
-        it_length=it_length,
+        it_length=float(it_length * quantum),
         overflow=overflow,
         comms=comms,
-        recurrence_violation=violation,
+        recurrence_violation=float(violation * quantum),
         cluster_units=tuple(units),
     )
 
@@ -221,11 +220,12 @@ def partition_cost(
                 infeasibility += needed - capacity
 
     ps = pseudo_schedule(ctx, partition)
+    it = float(ctx.it)
     infeasibility += ps.overflow
-    infeasibility += ps.recurrence_violation / max(ctx.it_float, 1e-12)
+    infeasibility += ps.recurrence_violation / it
 
     weights = ctx.weights
-    time_estimate = (ctx.trip_count - 1) * ctx.it_float + ps.it_length
+    time_estimate = (ctx.trip_count - 1) * it + ps.it_length
     dynamic = weights.e_ins_unit * sum(
         delta * units for delta, units in zip(ctx.cluster_deltas, ps.cluster_units)
     )

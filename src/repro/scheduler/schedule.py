@@ -10,16 +10,20 @@ A schedule fixes, for one loop:
   local clock, iteration 0),
 * for every inter-cluster value edge, the bus cycle of its copy.
 
-All timing here is exact rational arithmetic.  :meth:`Schedule.validate`
-re-derives every legality condition from scratch, independently of the
-kernel that built the schedule.
+Because every running domain meets the IT exactly, every issue, finish
+and copy instant of the schedule falls on one grid: the gcd of the IT and
+the running periods (:func:`clock_grid`).  The per-op and per-copy timing
+methods return integer ticks of :attr:`Schedule.quantum` ns; ``it`` and
+``it_length`` stay exact nanoseconds for serialization and reporting.
+:meth:`Schedule.validate` re-derives every legality condition from
+scratch, independently of the kernel that built the schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError, SchedulingError
 from repro.ir.analysis import edge_delay
@@ -27,10 +31,10 @@ from repro.ir.ddg import DDG
 from repro.ir.dependence import Dependence
 from repro.ir.operation import Operation
 from repro.machine.clocking import ICN_DOMAIN, cluster_domain
-from repro.machine.fu import FUType, fu_for
+from repro.machine.fu import fu_for
 from repro.machine.machine import MachineDescription
 from repro.scheduler.mrt import BUS, bus_mrt, cluster_mrt
-from repro.units import Frequency, Time, ceil_div
+from repro.units import Frequency, Time, common_quantum
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,33 @@ class DomainAssignment:
         if not self.usable:
             raise SchedulingError(f"domain {self.domain} is gated")
         return Fraction(1) / self.frequency
+
+
+class ClockGrid(NamedTuple):
+    """One attempt's common time grid, in integer ticks of ``quantum`` ns."""
+
+    quantum: Fraction
+    #: The IT in ticks.
+    it: int
+    #: Running period of each cluster in ticks (``None`` when gated).
+    clusters: Tuple[Optional[int], ...]
+    #: Running period of the interconnect in ticks (``None`` when gated).
+    icn: Optional[int]
+
+
+def clock_grid(
+    it: Time, assignments: Mapping[str, DomainAssignment], n_clusters: int
+) -> ClockGrid:
+    """The coarsest grid carrying the IT and every usable cluster and
+    interconnect period.  The cache domain stays out: no timing uses it."""
+    domains = [assignments[cluster_domain(i)] for i in range(n_clusters)]
+    domains.append(assignments[ICN_DOMAIN])
+    periods = [a.cycle_time if a.usable else None for a in domains]
+    quantum = common_quantum([it] + [p for p in periods if p is not None])
+    ticks = [None if p is None else (p / quantum).numerator for p in periods]
+    return ClockGrid(
+        quantum, (it / quantum).numerator, tuple(ticks[:-1]), ticks[-1]
+    )
 
 
 @dataclass(frozen=True)
@@ -130,6 +161,13 @@ class Schedule:
         self.placements = dict(placements)
         self.copies = dict(copies)
         self.sync_penalties = sync_penalties
+        grid = clock_grid(self.it, self.assignments, machine.n_clusters)
+        #: Length (ns) of one tick of the timing methods below.
+        self.quantum: Fraction = grid.quantum
+        #: The IT in ticks.
+        self.it_ticks: int = grid.it
+        self._cluster_ticks = grid.clusters
+        self._icn_ticks = grid.icn
 
     # ------------------------------------------------------------------
     # domain helpers
@@ -144,19 +182,28 @@ class Schedule:
         return self.assignments[ICN_DOMAIN]
 
     def cluster_cycle_time(self, index: int) -> Time:
-        """Running period of cluster ``index``."""
+        """Running period (ns) of cluster ``index``."""
         return self.cluster_assignment(index).cycle_time
 
-    @property
-    def icn_cycle_time(self) -> Time:
-        """Running period of the interconnect."""
-        return self.icn_assignment.cycle_time
+    def cluster_period(self, index: int) -> int:
+        """Running period of cluster ``index`` in ticks."""
+        period = self._cluster_ticks[index]
+        if period is None:
+            raise SchedulingError(f"domain {cluster_domain(index)} is gated")
+        return period
 
-    def _sync_penalty(self, from_ct: Time, to_ct: Time) -> Fraction:
-        """One receiving-domain cycle when frequencies differ (section 2.1)."""
-        if self.sync_penalties and from_ct != to_ct:
-            return Fraction(to_ct)
-        return Fraction(0)
+    def _icn_period(self) -> int:
+        """Running period of the interconnect in ticks."""
+        if self._icn_ticks is None:
+            raise SchedulingError(f"domain {ICN_DOMAIN} is gated")
+        return self._icn_ticks
+
+    def _sync_penalty(self, from_period: int, to_period: int) -> int:
+        """One receiving-domain cycle (ticks) when frequencies differ
+        (section 2.1)."""
+        if self.sync_penalties and from_period != to_period:
+            return to_period
+        return 0
 
     # ------------------------------------------------------------------
     # timing
@@ -165,35 +212,45 @@ class Schedule:
         """Where/when ``op`` is scheduled."""
         return self.placements[op]
 
-    def issue_time(self, op: Operation) -> Fraction:
-        """Issue instant of ``op`` (iteration 0, ns)."""
+    def issue_time(self, op: Operation) -> int:
+        """Issue instant of ``op`` (iteration 0, ticks)."""
         placed = self.placements[op]
-        return placed.cycle * self.cluster_cycle_time(placed.cluster)
+        return placed.cycle * self.cluster_period(placed.cluster)
 
-    def finish_time(self, op: Operation) -> Fraction:
-        """Instant the result of ``op`` is available (iteration 0, ns)."""
+    def finish_time(self, op: Operation) -> int:
+        """Instant the result of ``op`` is available (iteration 0, ticks)."""
         placed = self.placements[op]
         latency = self.machine.isa.latency(op.opclass)
-        return (placed.cycle + latency) * self.cluster_cycle_time(placed.cluster)
+        return (placed.cycle + latency) * self.cluster_period(placed.cluster)
 
-    def copy_issue_time(self, dep: Dependence) -> Fraction:
-        """Instant the copy of ``dep`` starts its bus transfer."""
-        return self.copies[dep].bus_cycle * self.icn_cycle_time
+    def copy_issue_time(self, dep: Dependence) -> int:
+        """Instant (ticks) the copy of ``dep`` starts its bus transfer."""
+        return self.copies[dep].bus_cycle * self._icn_period()
 
-    def copy_arrival_time(self, dep: Dependence) -> Fraction:
-        """Instant the copied value is usable in the consumer's cluster.
+    def copy_gate_time(self, dep: Dependence) -> int:
+        """Earliest instant (ticks) the copy of ``dep`` may start: the
+        producer's value plus the synchronisation queue into the bus."""
+        producer = self.placements[dep.src]
+        src_period = self.cluster_period(producer.cluster)
+        produce = (producer.cycle + edge_delay(dep, self.machine.isa)) * src_period
+        return produce + self._sync_penalty(src_period, self._icn_period())
+
+    def copy_arrival_time(self, dep: Dependence) -> int:
+        """Instant (ticks) the copied value is usable in the consumer's
+        cluster.
 
         Includes the bus transfer and the synchronisation-queue penalty
         into the consumer's domain.
         """
         copy = self.copies[dep]
-        icn_ct = self.icn_cycle_time
-        arrival = (copy.bus_cycle + self.machine.interconnect.latency) * icn_ct
-        consumer_ct = self.cluster_cycle_time(self.placements[dep.dst].cluster)
-        return arrival + self._sync_penalty(icn_ct, consumer_ct)
+        icn = self._icn_period()
+        arrival = (copy.bus_cycle + self.machine.interconnect.latency) * icn
+        consumer = self.cluster_period(self.placements[dep.dst].cluster)
+        return arrival + self._sync_penalty(icn, consumer)
 
-    def value_ready_time(self, dep: Dependence) -> Fraction:
-        """Earliest instant ``dep.dst`` may issue, in iteration-0 frame.
+    def value_ready_time(self, dep: Dependence) -> int:
+        """Earliest instant (ticks) ``dep.dst`` may issue, in iteration-0
+        frame.
 
         For a loop-carried dependence the producer of iteration ``-w``
         supplies the consumer of iteration 0, hence the ``- w * IT``.
@@ -205,18 +262,16 @@ class Schedule:
             # in the producer's clock.
             producer = self.placements[dep.src]
             delay = edge_delay(dep, self.machine.isa)
-            ready = self.issue_time(dep.src) + delay * self.cluster_cycle_time(
-                producer.cluster
-            )
-        return ready - dep.distance * self.it
+            ready = (producer.cycle + delay) * self.cluster_period(producer.cluster)
+        return ready - dep.distance * self.it_ticks
 
     # ------------------------------------------------------------------
     # aggregate shape
     # ------------------------------------------------------------------
     @property
-    def it_length(self) -> Fraction:
-        """Time one whole iteration spans (issue of first to last finish)."""
-        latest = Fraction(0)
+    def _it_length_ticks(self) -> int:
+        """Ticks one whole iteration spans (issue of first to last finish)."""
+        latest = 0
         for op in self.placements:
             latest = max(latest, self.finish_time(op))
         for dep in self.copies:
@@ -224,11 +279,16 @@ class Schedule:
         return latest
 
     @property
+    def it_length(self) -> Fraction:
+        """Time (ns) one whole iteration spans."""
+        return self._it_length_ticks * self.quantum
+
+    @property
     def stage_count(self) -> int:
         """Number of concurrently executing iterations (SC)."""
         if self.it <= 0:
             raise SchedulingError("IT must be positive")
-        return max(1, ceil_div(self.it_length, self.it))
+        return max(1, -(-self._it_length_ticks // self.it_ticks))
 
     def execution_time(self, iterations: float) -> float:
         """``(N - 1) * IT + it_length`` — total time for N iterations (ns)."""
@@ -274,7 +334,7 @@ class Schedule:
             if not op.opclass.writes_register:
                 continue
             cluster = placed.cluster
-            cluster_ct = self.cluster_cycle_time(cluster)
+            period = self.cluster_period(cluster)
             ii = self.cluster_assignment(cluster).ii
             start = placed.cycle + self.machine.isa.latency(op.opclass)
             end = start
@@ -284,7 +344,7 @@ class Schedule:
                     continue
                 consumed = True
                 if dep in self.copies:
-                    read_cycle = ceil_div(self.copy_issue_time(dep), cluster_ct)
+                    read_cycle = -(-self.copy_issue_time(dep) // period)
                 else:
                     consumer = self.placements[dep.dst]
                     read_cycle = consumer.cycle + dep.distance * ii
@@ -294,9 +354,9 @@ class Schedule:
         for dep, copy in self.copies.items():
             consumer = self.placements[dep.dst]
             cluster = consumer.cluster
-            cluster_ct = self.cluster_cycle_time(cluster)
+            period = self.cluster_period(cluster)
             ii = self.cluster_assignment(cluster).ii
-            start = ceil_div(self.copy_arrival_time(dep), cluster_ct)
+            start = -(-self.copy_arrival_time(dep) // period)
             end = consumer.cycle + dep.distance * ii
             lifetimes.append(ValueLifetime(cluster, start, max(end, start)))
         return lifetimes
@@ -405,13 +465,7 @@ class Schedule:
                 )
             if dep in self.copies:
                 # Producer -> bus leg.
-                produce = self.issue_time(dep.src) + edge_delay(
-                    dep, self.machine.isa
-                ) * self.cluster_cycle_time(producer.cluster)
-                bus_ready = produce + self._sync_penalty(
-                    self.cluster_cycle_time(producer.cluster), self.icn_cycle_time
-                )
-                if self.copy_issue_time(dep) < bus_ready:
+                if self.copy_issue_time(dep) < self.copy_gate_time(dep):
                     raise SimulationError(
                         f"copy of {dep.src.name}->{dep.dst.name} issues before "
                         "its value reaches the bus"
@@ -420,8 +474,8 @@ class Schedule:
             if self.issue_time(dep.dst) < ready:
                 raise SimulationError(
                     f"dependence {dep.src.name}->{dep.dst.name} violated: "
-                    f"consumer issues at {self.issue_time(dep.dst)}, "
-                    f"value ready at {ready}"
+                    f"consumer issues at {self.issue_time(dep.dst) * self.quantum}"
+                    f" ns, value ready at {ready * self.quantum} ns"
                 )
 
     def __repr__(self) -> str:

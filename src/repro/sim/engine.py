@@ -1,9 +1,11 @@
-"""The discrete-event core: a time-ordered event loop with handlers."""
+"""The discrete-event core: a time-ordered event loop with handlers.
+
+Timestamps are integer ticks of the executed schedule's time grid.
+"""
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Callable, Dict, List, Tuple, Type
 
 from repro.sim.events import CopyArrive, CopyStart, OpComplete, OpIssue, SimEvent
@@ -30,16 +32,11 @@ class EventEngine:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[Fraction, int, int, SimEvent]] = []
+        self._heap: List[Tuple[int, int, int, SimEvent]] = []
         self._counter = 0
         self._handlers: Dict[Type[SimEvent], List[Handler]] = {}
-        self._now = Fraction(0)
+        self._now = 0
         self._processed = 0
-
-    @property
-    def now(self) -> Fraction:
-        """Timestamp of the event being processed (ns)."""
-        return self._now
 
     @property
     def processed(self) -> int:
@@ -60,18 +57,12 @@ class EventEngine:
         heapq.heappush(self._heap, (event.time, rank, self._counter, event))
         self._counter += 1
 
-    def run(self, until: Fraction | None = None) -> Fraction:
-        """Drain the queue (optionally stopping after ``until``); returns
-        the timestamp of the last processed event."""
-        last = self._now
+    def run(self) -> int:
+        """Drain the queue; returns the timestamp of the last event."""
         while self._heap:
             time, _rank, _seq, event = heapq.heappop(self._heap)
-            if until is not None and time > until:
-                heapq.heappush(self._heap, (time, _rank, _seq, event))
-                break
             self._now = time
-            last = time
             self._processed += 1
             for handler in self._handlers.get(type(event), ()):
                 handler(event)
-        return last
+        return self._now

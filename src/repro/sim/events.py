@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.ir.dependence import Dependence
 from repro.ir.operation import Operation
@@ -11,9 +10,10 @@ from repro.ir.operation import Operation
 
 @dataclass(frozen=True)
 class SimEvent:
-    """Base event: something happens at ``time`` (ns) in ``iteration``."""
+    """Base event: something happens at ``time`` (ticks of the schedule's
+    grid) in ``iteration``."""
 
-    time: Fraction
+    time: int
     iteration: int
 
 

@@ -17,13 +17,18 @@ iterations covers the fill, several full steady-state repetitions and the
 drain; counts and times for larger trip counts follow exactly from the
 per-iteration counts and ``(N - 1) * IT + it_length``.  The executor
 asserts that identity on the simulated window instead of assuming it.
+
+Event timestamps are the schedule's own integer ticks
+(:attr:`~repro.scheduler.schedule.Schedule.quantum` ns each): every
+issue, finish and copy instant is an exact multiple of that quantum, so
+the event loop — heap ordering, oversubscription keys, readiness
+comparisons — runs on machine ints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from repro.errors import SimulationError
@@ -35,7 +40,7 @@ from repro.power.energy import EventCounts
 from repro.scheduler.schedule import Schedule
 from repro.sim.engine import EventEngine
 from repro.sim.events import CopyArrive, CopyStart, OpComplete, OpIssue
-from repro.units import common_quantum
+from repro.units import Time
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class SimulationResult:
     #: Iterations the result is extrapolated to (the loop's trip count).
     total_iterations: float
     #: Makespan of the simulated window (ns, exact).
-    simulated_makespan: Fraction
+    simulated_makespan: Time
     #: Extrapolated execution time for ``total_iterations`` (ns).
     exec_time_ns: float
     #: Event counts scaled to ``total_iterations``.
@@ -67,15 +72,7 @@ class LoopExecutor:
 
     # ------------------------------------------------------------------
     def run(self, iterations: float) -> SimulationResult:
-        """Simulate, verify, extrapolate to ``iterations``.
-
-        All event timestamps are integers on the schedule's common time
-        grid (the gcd of the IT and every running domain period): every
-        issue/finish/copy instant is an exact multiple of that quantum,
-        so scaling loses nothing and the event loop — heap ordering,
-        oversubscription keys, readiness comparisons — runs on machine
-        ints instead of :class:`Fraction` arithmetic.
-        """
+        """Simulate, verify, extrapolate to ``iterations``."""
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         schedule = self._schedule
@@ -89,21 +86,8 @@ class LoopExecutor:
         machine = schedule.machine
         isa = machine.isa
 
-        # --- the common integer time grid ----------------------------
-        periods = [schedule.it]
-        for index in range(machine.n_clusters):
-            if schedule.cluster_assignment(index).usable:
-                periods.append(schedule.cluster_cycle_time(index))
-        if schedule.icn_assignment.usable:
-            periods.append(schedule.icn_cycle_time)
-        quantum = common_quantum(periods)
-
-        def grid(value: Fraction) -> int:
-            scaled = value / quantum
-            assert scaled.denominator == 1, "event off the time grid"
-            return scaled.numerator
-
-        it_q = grid(schedule.it)
+        quantum = schedule.quantum
+        it_q = schedule.it_ticks
 
         # --- precomputed per-op / per-edge timing (iteration 0) ------
         placements = schedule.placements
@@ -111,21 +95,16 @@ class LoopExecutor:
         finish_q: Dict[Operation, int] = {}
         op_fu = {}
         for op in placements:
-            issue_q[op] = grid(schedule.issue_time(op))
-            finish_q[op] = grid(schedule.finish_time(op))
+            issue_q[op] = schedule.issue_time(op)
+            finish_q[op] = schedule.finish_time(op)
             op_fu[op] = fu_for(op.opclass)
         copy_start_q: Dict[Dependence, int] = {}
         copy_arrive_q: Dict[Dependence, int] = {}
         copy_gate_q: Dict[Dependence, int] = {}
         for dep in schedule.copies:
-            copy_start_q[dep] = grid(schedule.copy_issue_time(dep))
-            copy_arrive_q[dep] = grid(schedule.copy_arrival_time(dep))
-            producer = placements[dep.src]
-            src_ct = schedule.cluster_cycle_time(producer.cluster)
-            produce = schedule.issue_time(dep.src) + edge_delay(dep, isa) * src_ct
-            copy_gate_q[dep] = grid(
-                produce + schedule._sync_penalty(src_ct, schedule.icn_cycle_time)
-            )
+            copy_start_q[dep] = schedule.copy_issue_time(dep)
+            copy_arrive_q[dep] = schedule.copy_arrival_time(dep)
+            copy_gate_q[dep] = schedule.copy_gate_time(dep)
         dep_index = {dep: i for i, dep in enumerate(schedule.ddg.dependences)}
         #: In-edge readiness checks per op: (distance, copy key or None,
         #: iteration-0 ready time on the grid, producer name).
@@ -137,11 +116,9 @@ class LoopExecutor:
                     checks.append((dep.distance, dep_index[dep], 0, dep.src.name))
                 else:
                     producer = placements[dep.src]
-                    ready0 = grid(
-                        schedule.issue_time(dep.src)
-                        + edge_delay(dep, isa)
-                        * schedule.cluster_cycle_time(producer.cluster)
-                    )
+                    ready0 = (
+                        producer.cycle + edge_delay(dep, isa)
+                    ) * schedule.cluster_period(producer.cluster)
                     checks.append((dep.distance, None, ready0, dep.src.name))
             ready_checks[op] = checks
 

@@ -2,10 +2,16 @@
 
 The heterogeneous machine mixes clock domains whose cycle times are related
 by small rational factors (the paper uses factors such as 0.95, 1.25 and
-1.33 = 4/3).  All legality reasoning — ``II_X = IT * f_X`` integrality,
-synchronisation of domain clocks, simulator event ordering — is done with
-:class:`fractions.Fraction` so there is no floating-point epsilon anywhere
-in the core.
+1.33 = 4/3).  Quantities that cross attempts — cycle times, frequencies,
+the IT itself — are exact :class:`fractions.Fraction` values.
+
+Inside one scheduling attempt every clock domain meets the IT exactly
+(``II_X = IT * f_X`` is an integer), so every issue, finish and copy
+instant falls on one grid: :func:`common_quantum` of the IT and the
+running periods.  The scheduler, the pseudo-scheduler, the schedule's
+timing methods and the simulator all count integer *ticks* of that
+quantum (see :func:`repro.scheduler.schedule.clock_grid`), so there is no
+floating-point epsilon anywhere in the core.
 
 Conventions used throughout the package:
 
@@ -16,9 +22,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 #: Anything accepted where an exact rational is required.
 Rational = Union[int, str, Fraction]
@@ -87,18 +94,12 @@ def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def fraction_lcm(a: Fraction, b: Fraction) -> Fraction:
-    """Least common multiple of two positive rationals."""
-    if a <= 0 or b <= 0:
-        raise ValueError("fraction_lcm requires positive arguments")
-    return a * b / fraction_gcd(a, b)
-
-
 def common_quantum(values: Iterable[Fraction]) -> Fraction:
     """Return the coarsest time quantum dividing every value exactly.
 
-    Used to derive the global simulation grid for a set of clock-domain
-    periods: every domain edge falls on a multiple of the quantum.
+    Used to derive a scheduling attempt's tick grid from its IT and
+    clock-domain periods: every domain edge falls on a multiple of the
+    quantum.
     """
     quantum = Fraction(0)
     for value in values:
@@ -118,8 +119,7 @@ def ceil_div(value: Fraction, unit: Fraction) -> int:
 
     Integer and Fraction inputs take a pure-integer path (``ceil(a/b) =
     -(-a // b)`` on cross-multiplied numerators) instead of constructing
-    and normalising intermediate :class:`Fraction` ratios — this runs in
-    the kernel's slot-probing inner loop.
+    and normalising an intermediate :class:`Fraction` ratio.
     """
     if isinstance(value, (int, Fraction)) and isinstance(unit, (int, Fraction)):
         num = value.numerator * unit.denominator
@@ -150,11 +150,27 @@ def floor_div(value: Fraction, unit: Fraction) -> int:
     return math.floor(ratio)
 
 
-def format_time(value: Fraction, digits: int = 4) -> str:
-    """Human-readable rendering of a time in nanoseconds."""
-    return f"{float(value):.{digits}g} ns"
+def ascending_multiples(
+    periods: Iterable[Fraction], start: Fraction, *, inclusive: bool = True
+) -> Iterator[Fraction]:
+    """Ascending distinct positive multiples of any of ``periods``.
 
-
-def format_frequency(value: Fraction, digits: int = 4) -> str:
-    """Human-readable rendering of a frequency in GHz."""
-    return f"{float(value):.{digits}g} GHz"
+    The stream begins at the first multiple ``>= start`` (``> start``
+    when not ``inclusive``) and never ends; callers stop it.  Each period
+    re-arms itself on the heap, so no divisibility test is needed.
+    """
+    heap: List[Tuple[Fraction, Fraction]] = []
+    for period in set(periods):
+        if inclusive:
+            k = ceil_div(start, period)
+        else:
+            k = floor_div(start, period) + 1
+        heap.append((max(k, 1) * period, period))
+    heapq.heapify(heap)
+    previous = None
+    while heap:
+        value, period = heap[0]
+        heapq.heapreplace(heap, (value + period, period))
+        if value != previous:
+            previous = value
+            yield value

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import math
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.ir.analysis import (
     alap_times,
     asap_times,
+    edge_delay,
     rec_mii,
     rec_mii_lawler,
 )
@@ -23,7 +26,7 @@ from repro.machine.operating_point import DomainSetting, OperatingPoint
 from repro.scheduler import HeterogeneousModuloScheduler
 from repro.scheduler.mii import minimum_initiation_time
 from repro.sim.executor import LoopExecutor
-from repro.units import fraction_gcd, fraction_lcm, is_integral
+from repro.units import ascending_multiples, fraction_gcd, is_integral
 
 MACHINE = paper_machine()
 ISA = MACHINE.isa
@@ -140,9 +143,29 @@ class TestFractionProperties:
         assert is_integral(b / g)
 
     @SETTINGS
-    @given(positive_fractions, positive_fractions)
-    def test_gcd_lcm_product(self, a, b):
-        assert fraction_gcd(a, b) * fraction_lcm(a, b) == a * b
+    @given(
+        st.lists(positive_fractions, min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=6),
+        st.one_of(st.just(Fraction(0)), positive_fractions),
+        st.booleans(),
+    )
+    def test_ascending_multiples_match_brute_force(
+        self, periods, k, offset, inclusive
+    ):
+        # Starting on a multiple (offset 0) exercises the inclusive edge.
+        start = k * periods[0] + offset
+        limit = start + 3 * max(periods)
+        expected = sorted(
+            {
+                k * period
+                for period in periods
+                for k in range(1, math.ceil(limit / period) + 1)
+                if k * period <= limit
+                and (k * period >= start if inclusive else k * period > start)
+            }
+        )
+        stream = ascending_multiples(periods, start, inclusive=inclusive)
+        assert list(takewhile(lambda value: value <= limit, stream)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +244,63 @@ class TestSchedulingProperties:
         assert schedule.it >= mit
         result = LoopExecutor(schedule).run(loop.trip_count)
         assert result.exec_time_ns >= float(schedule.it_length)
+
+    @SETTINGS
+    @given(ddgs(max_ops=8), het_points())
+    def test_tick_timing_matches_exact_nanoseconds(self, ddg, point):
+        loop = Loop(ddg, trip_count=12)
+        schedule = HeterogeneousModuloScheduler(MACHINE).schedule(loop, point)
+        quantum = schedule.quantum
+        assert schedule.it_ticks * quantum == schedule.it
+
+        # Reference: every instant in exact Fraction ns, computed from
+        # the domains' cycle times (no grid involved).
+        def period(cluster):
+            return schedule.cluster_assignment(cluster).cycle_time
+
+        icn = schedule.icn_assignment.cycle_time
+        latency = MACHINE.interconnect.latency
+
+        def sync(from_ct, to_ct):
+            return to_ct if schedule.sync_penalties and from_ct != to_ct else 0
+
+        latest = Fraction(0)
+        for op, placed in schedule.placements.items():
+            issue = placed.cycle * period(placed.cluster)
+            finish = (placed.cycle + ISA.latency(op.opclass)) * period(
+                placed.cluster
+            )
+            assert schedule.issue_time(op) * quantum == issue
+            assert schedule.finish_time(op) * quantum == finish
+            latest = max(latest, finish)
+        for dep, copy in schedule.copies.items():
+            producer = schedule.placements[dep.src]
+            consumer_ct = period(schedule.placements[dep.dst].cluster)
+            gate = (producer.cycle + edge_delay(dep, ISA)) * period(
+                producer.cluster
+            ) + sync(period(producer.cluster), icn)
+            arrival = (copy.bus_cycle + latency) * icn + sync(icn, consumer_ct)
+            assert schedule.copy_issue_time(dep) * quantum == copy.bus_cycle * icn
+            assert schedule.copy_gate_time(dep) * quantum == gate
+            assert schedule.copy_arrival_time(dep) * quantum == arrival
+            latest = max(latest, arrival)
+        for dep in ddg.dependences:
+            if dep in schedule.copies:
+                ready = schedule.copy_arrival_time(dep) * quantum
+            else:
+                producer = schedule.placements[dep.src]
+                ready = (producer.cycle + edge_delay(dep, ISA)) * period(
+                    producer.cluster
+                )
+            ready -= dep.distance * schedule.it
+            assert schedule.value_ready_time(dep) * quantum == ready
+        assert schedule.it_length == latest
+
+        result = LoopExecutor(schedule).run(loop.trip_count)
+        window = result.simulated_iterations
+        assert result.simulated_makespan == (
+            (window - 1) * schedule.it + schedule.it_length
+        )
 
     @SETTINGS
     @given(ddgs(max_ops=8), het_points())

@@ -60,6 +60,7 @@ def hand_schedule():
 class TestTiming:
     def test_issue_and_finish(self):
         schedule = hand_schedule()
+        assert schedule.quantum == 1  # every period is 1 ns: ticks are ns
         load = schedule.ddg.operation("l")
         assert schedule.issue_time(load) == 0
         assert schedule.finish_time(load) == 2  # latency 2 at 1 ns

@@ -1,7 +1,5 @@
 """Tests for the discrete-event engine and the loop executor."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.errors import SimulationError
@@ -18,11 +16,11 @@ class TestEventEngine:
         engine = EventEngine()
         seen = []
         engine.on(SimEvent, lambda e: seen.append(e.time))
-        engine.schedule(SimEvent(Fraction(3), 0))
-        engine.schedule(SimEvent(Fraction(1), 0))
-        engine.schedule(SimEvent(Fraction(2), 0))
+        engine.schedule(SimEvent(3, 0))
+        engine.schedule(SimEvent(1, 0))
+        engine.schedule(SimEvent(2, 0))
         engine.run()
-        assert seen == [Fraction(1), Fraction(2), Fraction(3)]
+        assert seen == [1, 2, 3]
 
     def test_rank_order_at_same_time(self):
         engine = EventEngine()
@@ -30,9 +28,9 @@ class TestEventEngine:
         engine.on(OpIssue, lambda e: seen.append("issue"))
         engine.on(OpComplete, lambda e: seen.append("complete"))
         engine.on(CopyArrive, lambda e: seen.append("arrive"))
-        engine.schedule(OpIssue(Fraction(1), 0))
-        engine.schedule(CopyArrive(Fraction(1), 0))
-        engine.schedule(OpComplete(Fraction(1), 0))
+        engine.schedule(OpIssue(1, 0))
+        engine.schedule(CopyArrive(1, 0))
+        engine.schedule(OpComplete(1, 0))
         engine.run()
         assert seen.index("complete") < seen.index("issue")
         assert seen.index("arrive") < seen.index("issue")
@@ -40,26 +38,15 @@ class TestEventEngine:
     def test_past_scheduling_rejected(self):
         engine = EventEngine()
         engine.on(SimEvent, lambda e: None)
-        engine.schedule(SimEvent(Fraction(5), 0))
+        engine.schedule(SimEvent(5, 0))
         engine.run()
         with pytest.raises(ValueError):
-            engine.schedule(SimEvent(Fraction(1), 0))
-
-    def test_run_until(self):
-        engine = EventEngine()
-        seen = []
-        engine.on(SimEvent, lambda e: seen.append(e.time))
-        for t in (1, 2, 3, 4):
-            engine.schedule(SimEvent(Fraction(t), 0))
-        engine.run(until=Fraction(2))
-        assert seen == [Fraction(1), Fraction(2)]
-        engine.run()
-        assert seen == [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
+            engine.schedule(SimEvent(1, 0))
 
     def test_processed_counter(self):
         engine = EventEngine()
         engine.on(SimEvent, lambda e: None)
-        engine.schedule(SimEvent(Fraction(1), 0))
+        engine.schedule(SimEvent(1, 0))
         engine.run()
         assert engine.processed == 1
 

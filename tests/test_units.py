@@ -10,10 +10,7 @@ from repro.units import (
     common_quantum,
     cycle_time_of,
     floor_div,
-    format_frequency,
-    format_time,
     fraction_gcd,
-    fraction_lcm,
     frequency_of,
     is_integral,
 )
@@ -76,7 +73,7 @@ class TestFrequencyConversion:
             cycle_time_of(-1)
 
 
-class TestGcdLcm:
+class TestGcd:
     def test_gcd_integers(self):
         assert fraction_gcd(Fraction(6), Fraction(4)) == Fraction(2)
 
@@ -90,21 +87,6 @@ class TestGcdLcm:
     def test_gcd_negative_rejected(self):
         with pytest.raises(ValueError):
             fraction_gcd(Fraction(-1), Fraction(1))
-
-    def test_lcm(self):
-        # lcm(3/2, 9/10): gcd = 3/10, lcm = (27/20)/(3/10) = 9/2
-        assert fraction_lcm(Fraction(3, 2), Fraction(9, 10)) == Fraction(9, 2)
-
-    def test_lcm_divides_result(self):
-        a, b = Fraction(4, 3), Fraction(5, 4)
-        lcm = fraction_lcm(a, b)
-        assert is_integral(lcm / a)
-        assert is_integral(lcm / b)
-
-    def test_lcm_zero_rejected(self):
-        with pytest.raises(ValueError):
-            fraction_lcm(Fraction(0), Fraction(1))
-
 
 class TestCommonQuantum:
     def test_divides_all(self):
@@ -141,13 +123,7 @@ class TestIntegerDivision:
             floor_div(Fraction(1), Fraction(-1))
 
 
-class TestFormatting:
-    def test_format_time(self):
-        assert "ns" in format_time(Fraction(3, 2))
-
-    def test_format_frequency(self):
-        assert "GHz" in format_frequency(Fraction(10, 9))
-
+class TestIntegrality:
     def test_is_integral(self):
         assert is_integral(Fraction(4))
         assert not is_integral(Fraction(4, 3))
