@@ -170,18 +170,25 @@ class LoopAnalysis:
         Operations on critical recurrences first (most critical
         recurrence first), then greater height, then DDG order — the
         classic iterative modulo scheduling priority.  IT-invariant, so
-        computed once per loop.
+        computed once per loop.  The criticality is the dense rank of the
+        op's recurrence ratio among the loop's distinct ratios (zero for
+        ops on none): the same order as the ratio, but an ``int``, so heap
+        comparisons never touch ``Fraction``.
         """
         ratio: Dict[Operation, Fraction] = {}
         for recurrence in self.recurrences:
             for op in recurrence.operations:
                 if op not in ratio or recurrence.ratio > ratio[op]:
                     ratio[op] = recurrence.ratio
-        keys: Dict[Operation, Tuple] = {}
         zero = Fraction(0)
+        rank = {
+            value: index
+            for index, value in enumerate(sorted({zero, *ratio.values()}))
+        }
+        keys: Dict[Operation, Tuple] = {}
         for position, op in enumerate(self.ops):
             keys[op] = (
-                -ratio.get(op, zero),
+                -rank[ratio.get(op, zero)],
                 -self.heights[op],
                 position,
             )

@@ -109,6 +109,30 @@ class TestTrace:
         assert "attributed to named spans:" in captured.out
         assert "171.swim:" in captured.err  # the ed2 line -> stderr
 
+    def test_trace_shows_refinement_counters(self, capsys):
+        # Cold caches: a cached schedule would skip the refinement.
+        from repro.pipeline.cache import clear_loop_cache, clear_stage_cache
+        from repro.telemetry import disable_tracing
+
+        clear_stage_cache()
+        clear_loop_cache()
+        try:
+            assert main(
+                ["trace", "evaluate", "swim", "--scale", "0.02"]
+            ) == 0
+        finally:
+            disable_tracing()
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines() if "schedule_loop" in line)
+        for counter in (
+            "refine_candidates=",
+            "refine_pruned_bound=",
+            "refine_moves=",
+            "refine_steps_resumed=",
+            "refine_steps_total=",
+        ):
+            assert counter in line
+
     def test_trace_json_output_is_a_span_tree(self, capsys):
         from repro.telemetry import disable_tracing
 

@@ -142,3 +142,29 @@ class TestCommunicationTiming:
             loop.ddg, machine, it, assignments, placements, copies
         )
         schedule.validate()
+
+
+def test_integer_priority_keys_sort_like_recurrence_ratios():
+    """The kernel's keys rank recurrence ratios as dense integers; on
+    every loop of the ten corpora they order the ops exactly as keys
+    led by the exact (Fraction) ratio would."""
+    from repro.scheduler.context import loop_analysis
+    from repro.workloads import SPEC2000_PROFILES, build_corpus
+
+    isa = paper_machine().isa
+    for spec in SPEC2000_PROFILES.values():
+        for loop in build_corpus(spec, scale=0.05).loops:
+            analysis = loop_analysis(loop.ddg, isa)
+            ratio = {}
+            for recurrence in analysis.recurrences:
+                for op in recurrence.operations:
+                    ratio[op] = max(ratio.get(op, Fraction(0)), recurrence.ratio)
+            exact = {
+                op: (-ratio.get(op, Fraction(0)), -analysis.heights[op], position)
+                for position, op in enumerate(analysis.ops)
+            }
+            keys = analysis.priority_keys
+            assert all(isinstance(keys[op][0], int) for op in analysis.ops)
+            assert sorted(analysis.ops, key=keys.__getitem__) == sorted(
+                analysis.ops, key=exact.__getitem__
+            )

@@ -1,8 +1,12 @@
 """Tests for the partition container and the partitioning driver."""
 
+import types
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.ir.builder import DDGBuilder
@@ -19,7 +23,8 @@ from repro.scheduler.partition.coarsen import (
     initial_partition,
     preplace_recurrences,
 )
-from repro.scheduler.partition.refine import balance
+from repro.scheduler.partition.refine import REFINE_COUNTERS, balance, ed2_refine
+from tests import pseudo_oracle as oracle
 from tests.conftest import build_recurrence_loop
 
 
@@ -179,7 +184,7 @@ class TestBalanceRefinement:
         # All ops on cluster 0 is balanced at II 9 (capacity 9 per FU),
         # so overload starts at 0; force a tight IT instead.
         from repro.scheduler.partition.coarsen import Macro
-        from repro.scheduler.partition.refine import _total_overload
+        from repro.scheduler.pseudo import fu_overload
 
         everything_on_zero = Partition(
             loop.ddg, 4, {op: 0 for op in loop.ddg.operations}
@@ -188,9 +193,9 @@ class TestBalanceRefinement:
         macros = [
             Macro(i, (op,)) for i, op in enumerate(loop.ddg.operations)
         ]
-        before = _total_overload(ctx_tight, everything_on_zero)
+        before = fu_overload(ctx_tight, everything_on_zero.demand_matrix())
         refined = balance(ctx_tight, everything_on_zero, macros)
-        after = _total_overload(ctx_tight, refined)
+        after = fu_overload(ctx_tight, refined.demand_matrix())
         assert before > 0
         assert after < before
 
@@ -251,3 +256,66 @@ class TestDriver:
         partition = build_partition(ctx)
         for op in loop.ddg.operations:
             assert ctx.cluster_iis[partition.cluster_of(op)] >= 1
+
+
+class TestIncrementalRefinement:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(st.data())
+    def test_ed2_refine_matches_copy_and_full_pass(self, data):
+        ctx = data.draw(oracle.contexts())
+        partition = data.draw(oracle.partitions(ctx, usable_only=True))
+        macros = data.draw(oracle.macro_sets(ctx))
+        refined, counts = ed2_refine(ctx, partition, macros)
+        assert refined == oracle.refine_by_copies(ctx, partition, macros)
+        assert list(counts) == list(REFINE_COUNTERS)
+
+    @pytest.mark.parametrize("point", ["reference_point", "het_point"])
+    def test_build_partition_matches_copy_and_full_pass(self, request, point):
+        # build_partition (pre-placement, coarsening, balance) with the
+        # reference refinement swapped in must land on the same partition.
+        from repro.workloads import build_corpus, spec_profile
+
+        point = request.getfixturevalue(point)
+        corpus = build_corpus(spec_profile("171.swim"), scale=0.05)
+        for loop in corpus.loops[:6]:
+            ctx = make_context(loop, point)
+            fast = build_partition(ctx)
+            with mock.patch(
+                "repro.scheduler.partition.refine.ed2_refine",
+                lambda ctx, partition, macros: (
+                    oracle.refine_by_copies(ctx, partition, macros),
+                    {},
+                ),
+            ):
+                assert build_partition(ctx) == fast
+
+    def test_partition_submodules_are_not_shadowed(self):
+        import repro.scheduler.partition.coarsen as coarsen_module
+        import repro.scheduler.partition.refine as refine_module
+
+        assert isinstance(coarsen_module, types.ModuleType)
+        assert isinstance(refine_module, types.ModuleType)
+
+    def test_refine_counters_reach_the_schedule_span(self, het_point):
+        from repro.scheduler import HeterogeneousModuloScheduler
+        from repro.telemetry import disable_tracing, enable_tracing, span
+
+        enable_tracing()
+        try:
+            with span("root") as root:
+                HeterogeneousModuloScheduler(paper_machine()).schedule(
+                    build_recurrence_loop(), het_point
+                )
+        finally:
+            disable_tracing()
+        (loop_span,) = [s for s in root.walk() if s.name == "schedule_loop"]
+        counters = loop_span.counters
+        assert set(REFINE_COUNTERS) <= set(counters)
+        assert 0 < counters["refine_candidates"]
+        assert counters["refine_pruned_bound"] <= counters["refine_candidates"]
+        assert counters["refine_moves"] <= counters["refine_candidates"]
+        assert 0 < counters["refine_steps_resumed"] < counters["refine_steps_total"]
